@@ -9,6 +9,7 @@
 #include "bench_common.hpp"
 #include "solvers/cg.hpp"
 #include "util/args.hpp"
+#include "util/parallel.hpp"
 
 int main(int argc, char** argv) {
   using namespace tealeaf;
@@ -39,10 +40,17 @@ int main(int argc, char** argv) {
       kernels::init_conduction(c, deck.coefficient, dt / (dx * dx),
                                dt / (dx * dx));
     });
-    double rro = cg_setup(cl, precon);
     CGRecurrence rec;
-    for (int i = 0; i < lanczos_steps; ++i)
-      rro = cg_iteration(cl, precon, rro, &rec);
+    parallel_region([&](Team& t) {
+      CGRecurrence mine;  // per-thread copy; identical on every thread
+      double rro = cg_setup(cl, precon, t);
+      bool broke = false;
+      for (int i = 0; i < lanczos_steps && !broke; ++i) {
+        rro = cg_iteration(cl, precon, /*tile_rows=*/0, rro, &mine, broke,
+                           t);
+      }
+      t.single([&] { rec = mine; });
+    });
     const EigenEstimate est = estimate_eigenvalues(rec, 1.0, 1.0);
     const double kappa = est.eigmax / est.eigmin;
     if (precon == PreconType::kNone) kappa_none = kappa;

@@ -1,28 +1,20 @@
 // Kernel and execution-engine benchmarks — the C++ analogue of Listing 1
 // and the other per-iteration sweeps.
 //
-// Four layers:
-//  * A fused-vs-unfused execution-engine comparison that times whole
-//    solver iterations both ways (same problem, same iteration counts —
-//    the engine is bitwise-equivalent) and writes the result as
-//    BENCH_PR2.json, the first point of the repo's recorded perf
-//    trajectory.  Always available; needs no external library.
-//       ./bench/bench_kernels [--mesh 48] [--ranks 8] [--reps 5]
-//                             [--steps 1] [--out BENCH_PR2.json]
-//  * A tile-size scan of the tiled execution engine: fixed-iteration
-//    solves per solver at unfused / fused-untiled / fused-tiled for a
-//    ladder of row-block heights (plus the auto-derived one), emitting
-//    BENCH_PR3.json.  The Jacobi rows double as the batched-sweep
-//    numbers (its fused path hosts 16 sweeps per hoisted region).
+// Every native solve runs the one tiled team engine; the modes below time
+// it across its one setting (the row-block height) and across the other
+// design-space axes:
+//  * A tile-size scan: fixed-iteration solves per solver over a ladder of
+//    row-block heights (one block per rank, small blocks, the
+//    auto-derived height, the whole chunk), emitting BENCH_PR3.json.
 //       ./bench/bench_kernels --tile-scan [--mesh 1024] [--ranks 4]
 //                             [--reps 3] [--out BENCH_PR3.json]
-//  * A dimension comparison of the unified core (the tea3d fork is
-//    retired; 3-D runs the same engine): per solver, fixed-iteration
-//    2-D (n²) vs 3-D (m³, similar cell count) solves at unfused /
-//    fused / fused+tiled, reporting the per-dimension engine speedups
-//    and the 3-D-vs-2-D cost per cell·iteration.  The mg-pcg baseline
-//    rides along (unfused vs fused; its dimension-generic multigrid
-//    hierarchy covers both geometries).  Emits BENCH_PR4.json.
+//  * A dimension comparison of the unified core: per solver,
+//    fixed-iteration 2-D (n²) vs 3-D (m³, similar cell count) solves at
+//    one block per rank and at a fixed row-block height, reporting the
+//    3-D-vs-2-D cost per cell·iteration.  The mg-pcg baseline rides
+//    along (its dimension-generic multigrid hierarchy covers both
+//    geometries).  Emits BENCH_PR4.json.
 //       ./bench/bench_kernels --dim 3 [--mesh 64] [--mesh3d 16]
 //                             [--ranks 4] [--reps 3] [--tile 8]
 //                             [--out BENCH_PR4.json]
@@ -39,14 +31,6 @@
 //       ./bench/bench_kernels --spmv [--mesh 96] [--spmv-mesh 512]
 //                             [--ranks 2] [--reps 3] [--sweeps 50]
 //                             [--out BENCH_PR7.json]
-//  * A pipelined-engine comparison: fixed-iteration solves of the three
-//    chain targets (PPCG matrix-powers inner steps, Jacobi's save+update
-//    pair, Chebyshev's iterate+residual pair) in 2-D and 3-D at fused /
-//    tiled / pipelined over the same row-blocks, asserting identical
-//    iteration counts.  Emits BENCH_PR8.json.
-//       ./bench/bench_kernels --pipeline [--mesh 512] [--mesh3d 40]
-//                             [--ranks 4] [--reps 3] [--tile 8]
-//                             [--out BENCH_PR8.json]
 //  * A mixed-precision comparison: fp64 vs fp32 storage at fixed
 //    iteration counts (pure element-size streaming, identical schedules)
 //    plus a convergent mixed (fp32 inner + fp64 refinement guard) rider
@@ -128,19 +112,6 @@ void BM_Smvp(benchmark::State& state) {
 }
 BENCHMARK(BM_Smvp)->Arg(64)->Arg(256)->Arg(512);
 
-void BM_SmvpDotFused(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  auto cl = make_chunk(n);
-  Chunk2D& c = cl->chunk(0);
-  for (auto _ : state) {
-    const double pw =
-        kernels::smvp_dot(c, FieldId::kP, FieldId::kW, interior_bounds(c));
-    benchmark::DoNotOptimize(pw);
-  }
-  state.SetItemsProcessed(state.iterations() * n * n);
-}
-BENCHMARK(BM_SmvpDotFused)->Arg(64)->Arg(256)->Arg(512);
-
 void BM_SmvpExtendedBounds(benchmark::State& state) {
   // The matrix-powers redundant-compute sweep: same kernel, bigger range.
   const int n = static_cast<int>(state.range(0));
@@ -164,78 +135,39 @@ BENCHMARK(BM_SmvpExtendedBounds)
     ->Args({256, 8})
     ->Args({256, 16});
 
-void BM_ChebyFusedUpdate(benchmark::State& state) {
+void BM_ChebyStep(benchmark::State& state) {
+  // One fused Chebyshev iteration body over the whole chunk as one block:
+  // the row-lagged stencil + update pass, then the deferred edge rows.
   const int n = static_cast<int>(state.range(0));
   auto cl = make_chunk(n);
   Chunk2D& c = cl->chunk(0);
-  kernels::smvp(c, FieldId::kP, FieldId::kW, interior_bounds(c));
+  const Bounds in = interior_bounds(c);
   for (auto _ : state) {
-    kernels::cheby_fused_update(c, FieldId::kRtemp, FieldId::kSd,
-                                FieldId::kZ, 0.5, 0.1, true,
-                                interior_bounds(c));
+    kernels::cheby_step_tile(c, FieldId::kRtemp, FieldId::kSd, FieldId::kZ,
+                             0.5, 0.1, true, in, in);
+    kernels::cheby_step_tile_edges(c, FieldId::kRtemp, FieldId::kSd,
+                                   FieldId::kZ, 0.5, 0.1, true, in, in);
     benchmark::DoNotOptimize(c.z()(0, 0));
   }
   state.SetItemsProcessed(state.iterations() * n * n);
 }
-BENCHMARK(BM_ChebyFusedUpdate)->Arg(64)->Arg(256)->Arg(512);
+BENCHMARK(BM_ChebyStep)->Arg(64)->Arg(256)->Arg(512);
 
-void BM_ChebyStepUnfusedPair(benchmark::State& state) {
-  // The unfused Chebyshev iteration body: smvp sweep + update sweep.
+void BM_CalcUrDot(benchmark::State& state) {
+  // Fused u/r update + diag preconditioner + ⟨r,z⟩ in one pass.
   const int n = static_cast<int>(state.range(0));
   auto cl = make_chunk(n);
   Chunk2D& c = cl->chunk(0);
+  const Bounds in = interior_bounds(c);
+  kernels::smvp(c, FieldId::kP, FieldId::kW, in);
   for (auto _ : state) {
-    kernels::smvp(c, FieldId::kSd, FieldId::kW, interior_bounds(c));
-    kernels::cheby_fused_update(c, FieldId::kRtemp, FieldId::kSd,
-                                FieldId::kZ, 0.5, 0.1, true,
-                                interior_bounds(c));
-    benchmark::DoNotOptimize(c.z()(0, 0));
+    kernels::calc_ur_dot_rows(c, 1e-3, PreconType::kJacobiDiag, in,
+                              c.row_scratch());
+    benchmark::DoNotOptimize(c.row_scratch()[0]);
   }
   state.SetItemsProcessed(state.iterations() * n * n);
 }
-BENCHMARK(BM_ChebyStepUnfusedPair)->Arg(64)->Arg(256)->Arg(512);
-
-void BM_ChebyStepFused(benchmark::State& state) {
-  // The same iteration body as ONE row-lagged pass (fused engine).
-  const int n = static_cast<int>(state.range(0));
-  auto cl = make_chunk(n);
-  Chunk2D& c = cl->chunk(0);
-  for (auto _ : state) {
-    kernels::cheby_step(c, FieldId::kRtemp, FieldId::kSd, FieldId::kZ, 0.5,
-                        0.1, true, interior_bounds(c));
-    benchmark::DoNotOptimize(c.z()(0, 0));
-  }
-  state.SetItemsProcessed(state.iterations() * n * n);
-}
-BENCHMARK(BM_ChebyStepFused)->Arg(64)->Arg(256)->Arg(512);
-
-void BM_CalcUrDotFused(benchmark::State& state) {
-  // Fused u/r update + diag preconditioner + ⟨r,z⟩: one pass vs three.
-  const int n = static_cast<int>(state.range(0));
-  auto cl = make_chunk(n);
-  Chunk2D& c = cl->chunk(0);
-  kernels::smvp(c, FieldId::kP, FieldId::kW, interior_bounds(c));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        kernels::calc_ur_dot(c, 1e-3, PreconType::kJacobiDiag));
-  }
-  state.SetItemsProcessed(state.iterations() * n * n);
-}
-BENCHMARK(BM_CalcUrDotFused)->Arg(64)->Arg(256)->Arg(512);
-
-void BM_CalcUrDotUnfusedTriple(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  auto cl = make_chunk(n);
-  Chunk2D& c = cl->chunk(0);
-  kernels::smvp(c, FieldId::kP, FieldId::kW, interior_bounds(c));
-  for (auto _ : state) {
-    kernels::cg_calc_ur(c, 1e-3);
-    kernels::diag_solve(c, FieldId::kR, FieldId::kZ, interior_bounds(c));
-    benchmark::DoNotOptimize(kernels::dot(c, FieldId::kR, FieldId::kZ));
-  }
-  state.SetItemsProcessed(state.iterations() * n * n);
-}
-BENCHMARK(BM_CalcUrDotUnfusedTriple)->Arg(64)->Arg(256)->Arg(512);
+BENCHMARK(BM_CalcUrDot)->Arg(64)->Arg(256)->Arg(512);
 
 void BM_BlockJacobiSolve(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -280,8 +212,11 @@ void BM_JacobiSweep(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   auto cl = make_chunk(n);
   Chunk2D& c = cl->chunk(0);
+  const Bounds in = interior_bounds(c);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(kernels::jacobi_iterate(c));
+    kernels::jacobi_tile(c, in, c.row_scratch());
+    kernels::jacobi_tile_edges(c, in, c.row_scratch());
+    benchmark::DoNotOptimize(c.row_scratch()[0]);
   }
   state.SetItemsProcessed(state.iterations() * n * n);
 }
@@ -289,132 +224,10 @@ BENCHMARK(BM_JacobiSweep)->Arg(64)->Arg(256);
 
 #endif  // TEALEAF_HAVE_BENCHMARK
 
-// ---- fused-vs-unfused execution-engine comparison -----------------------
-
 struct EngineCase {
   std::string name;
   SolverConfig cfg;
 };
-
-struct EngineResult {
-  std::string name;
-  double unfused_seconds = 0.0;
-  double fused_seconds = 0.0;
-  int unfused_iters = 0;
-  int fused_iters = 0;
-  [[nodiscard]] double speedup() const {
-    return fused_seconds > 0.0 ? unfused_seconds / fused_seconds : 0.0;
-  }
-};
-
-std::vector<EngineCase> engine_cases() {
-  std::vector<EngineCase> cases;
-  SolverConfig cg;
-  cg.type = SolverType::kCG;
-  cg.eps = 1e-8;
-  cases.push_back({"cg", cg});
-  SolverConfig chrono = cg;
-  chrono.fuse_cg_reductions = true;
-  cases.push_back({"cg-chrono", chrono});
-  SolverConfig cheby;
-  cheby.type = SolverType::kChebyshev;
-  cheby.eps = 1e-8;
-  cases.push_back({"chebyshev", cheby});
-  SolverConfig ppcg;
-  ppcg.type = SolverType::kPPCG;
-  ppcg.eps = 1e-8;
-  cases.push_back({"ppcg", ppcg});
-  SolverConfig jacobi;
-  jacobi.type = SolverType::kJacobi;
-  jacobi.eps = 1e-4;
-  cases.push_back({"jacobi", jacobi});
-  return cases;
-}
-
-/// Best-of-`reps` timing of `steps` driver timesteps with one engine.
-/// A fresh app per repetition keeps every run solving the same problem.
-double time_solves(const InputDeck& deck, int ranks, int reps, int steps,
-                   int* iters) {
-  double best = 0.0;
-  for (int rep = 0; rep < reps; ++rep) {
-    TeaLeafApp app(deck, ranks);
-    double seconds = 0.0;
-    int it = 0;
-    for (int s = 0; s < steps; ++s) {
-      const SolveStats st = app.step();
-      if (!st.converged) {
-        std::fprintf(stderr, "warning: %s did not converge\n",
-                     to_string(deck.solver.type));
-      }
-      seconds += st.solve_seconds;
-      it += st.outer_iters;
-    }
-    if (rep == 0 || seconds < best) best = seconds;
-    *iters = it;
-  }
-  return best;
-}
-
-int run_engine_comparison(const Args& args) {
-  const int mesh = args.get_int("mesh", 48);
-  const int ranks = args.get_int("ranks", 8);
-  const int reps = args.get_int("reps", 5);
-  const int steps = args.get_int("steps", 1);
-  const std::string out_path = args.get("out", "BENCH_PR2.json");
-
-  std::vector<EngineResult> results;
-  for (const EngineCase& ec : engine_cases()) {
-    InputDeck deck = decks::hot_block(mesh, steps);
-    deck.solver = ec.cfg;
-    EngineResult res;
-    res.name = ec.name;
-    deck.solver.fuse_kernels = false;
-    res.unfused_seconds =
-        time_solves(deck, ranks, reps, steps, &res.unfused_iters);
-    deck.solver.fuse_kernels = true;
-    res.fused_seconds = time_solves(deck, ranks, reps, steps, &res.fused_iters);
-    std::printf(
-        "%-10s unfused %.6fs  fused %.6fs  speedup %.2fx  iters %d/%d%s\n",
-        res.name.c_str(), res.unfused_seconds, res.fused_seconds,
-        res.speedup(), res.unfused_iters, res.fused_iters,
-        res.unfused_iters == res.fused_iters ? "" : "  MISMATCH");
-    results.push_back(res);
-  }
-
-  double best_speedup = 0.0;
-  io::JsonValue doc = io::JsonValue::object();
-  doc.set("benchmark", "fused-vs-unfused execution engine (PR2)");
-  doc.set("mesh", mesh);
-  doc.set("ranks", ranks);
-  doc.set("threads", num_threads());
-  doc.set("reps", reps);
-  doc.set("steps", steps);
-  io::JsonValue arr = io::JsonValue::array();
-  for (const EngineResult& r : results) {
-    io::JsonValue cell = io::JsonValue::object();
-    cell.set("solver", r.name);
-    cell.set("unfused_seconds", r.unfused_seconds);
-    cell.set("fused_seconds", r.fused_seconds);
-    cell.set("speedup", r.speedup());
-    cell.set("unfused_iters", r.unfused_iters);
-    cell.set("fused_iters", r.fused_iters);
-    cell.set("identical_iterations", r.unfused_iters == r.fused_iters);
-    arr.push_back(std::move(cell));
-    best_speedup = std::max(best_speedup, r.speedup());
-  }
-  doc.set("solvers", std::move(arr));
-  doc.set("max_speedup", best_speedup);
-
-  std::ofstream out(out_path);
-  if (!out.is_open()) {
-    std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-    return 1;
-  }
-  out << doc.dump(2) << "\n";
-  std::printf("max speedup %.2fx at %d threads -> %s\n", best_speedup,
-              num_threads(), out_path.c_str());
-  return 0;
-}
 
 // ---- tile-size scan (BENCH_PR3) -----------------------------------------
 
@@ -474,10 +287,9 @@ int run_tile_scan(const Args& args) {
                                              std::lround(std::sqrt(ranks))));
   const int auto_rows =
       auto_tile_rows(machines::spruce_hybrid(), chunk_n, 2);
-  // Ladder: small blocks (L2-sized and below), the auto-derived height,
-  // and the whole chunk (one block per rank — the pure 2-D-scheduling
-  // point, no blocking overhead).
-  std::vector<int> tiles = {8, 32, 128};
+  // Ladder: one block per rank (0), small blocks (L2-sized and below),
+  // the auto-derived height, and the whole chunk as an explicit height.
+  std::vector<int> tiles = {0, 8, 32, 128};
   for (const int extra : {auto_rows, chunk_n}) {
     if (std::find(tiles.begin(), tiles.end(), extra) == tiles.end()) {
       tiles.push_back(extra);
@@ -493,25 +305,17 @@ int run_tile_scan(const Args& args) {
   doc.set("auto_tile_rows", auto_rows);
   io::JsonValue arr = io::JsonValue::array();
 
-  double worst_tiled_vs_fused = 0.0;
-  double jacobi_fused_speedup = 0.0;
   for (const EngineCase& ec : tile_scan_cases()) {
     InputDeck deck = decks::hot_block(mesh, 1);
     deck.solver = ec.cfg;
 
-    // Configurations of this solver: unfused, fused-untiled, the tile
-    // ladder.  Repetitions interleave round-robin so slow drift of the
-    // machine (thermals, co-tenants) biases no configuration.
     struct Config {
-      bool fused;
       int tile_rows;
       double best = 0.0;
       int iters = 0;
     };
     std::vector<Config> configs;
-    configs.push_back({false, 0});
-    configs.push_back({true, 0});
-    for (const int rows : tiles) configs.push_back({true, rows});
+    for (const int rows : tiles) configs.push_back({rows});
     // One untimed warmup round, then best-of-reps.  Round-robin with the
     // starting position rotated every rep, so neither slow machine drift
     // nor any position-in-cycle effect biases one configuration.
@@ -519,67 +323,38 @@ int run_tile_scan(const Args& args) {
       for (std::size_t i = 0; i < configs.size(); ++i) {
         Config& c = configs[(i + static_cast<std::size_t>(rep + 1)) %
                             configs.size()];
-        deck.solver.fuse_kernels = c.fused;
         deck.solver.tile_rows = c.tile_rows;
         const double seconds = time_fixed_once(deck, ranks, &c.iters);
         if (rep <= 0 || seconds < c.best) c.best = seconds;
       }
     }
-    const double unfused = configs[0].best;
-    const int unfused_iters = configs[0].iters;
-    const double fused = configs[1].best;
-    const int fused_iters = configs[1].iters;
 
     io::JsonValue tile_arr = io::JsonValue::array();
-    double best_tiled = 0.0;
-    int best_tile = 0;
-    for (std::size_t ci = 2; ci < configs.size(); ++ci) {
-      const Config& c = configs[ci];
+    const Config* best = &configs.front();
+    bool identical = true;
+    for (const Config& c : configs) {
       io::JsonValue cell = io::JsonValue::object();
       cell.set("tile_rows", c.tile_rows);
       cell.set("seconds", c.best);
-      cell.set("speedup_vs_fused", c.best > 0.0 ? fused / c.best : 0.0);
-      cell.set("identical_iterations", c.iters == fused_iters);
       tile_arr.push_back(std::move(cell));
-      if (best_tile == 0 || c.best < best_tiled) {
-        best_tiled = c.best;
-        best_tile = c.tile_rows;
-      }
+      if (c.best < best->best) best = &c;
+      identical = identical && c.iters == configs.front().iters;
     }
 
     io::JsonValue entry = io::JsonValue::object();
     entry.set("solver", ec.name);
-    entry.set("iters", unfused_iters);
-    entry.set("unfused_seconds", unfused);
-    entry.set("fused_untiled_seconds", fused);
-    entry.set("fused_speedup_vs_unfused",
-              fused > 0.0 ? unfused / fused : 0.0);
+    entry.set("iters", configs.front().iters);
     entry.set("tiles", std::move(tile_arr));
-    entry.set("best_tile_rows", best_tile);
-    entry.set("best_tiled_seconds", best_tiled);
-    entry.set("tiled_speedup_vs_fused",
-              best_tiled > 0.0 ? fused / best_tiled : 0.0);
-    entry.set("identical_iterations", fused_iters == unfused_iters);
+    entry.set("best_tile_rows", best->tile_rows);
+    entry.set("best_tiled_seconds", best->best);
+    entry.set("identical_iterations", identical);
     arr.push_back(std::move(entry));
-
-    const double ratio = best_tiled > 0.0 ? fused / best_tiled : 0.0;
-    if (worst_tiled_vs_fused == 0.0 || ratio < worst_tiled_vs_fused) {
-      worst_tiled_vs_fused = ratio;
-    }
-    if (ec.name == "jacobi" && fused > 0.0) {
-      // The batched-sweep fix headline: the best fused configuration
-      // (batched, tiled or not) against the unfused baseline.
-      jacobi_fused_speedup = unfused / std::min(fused, best_tiled);
-    }
-    std::printf(
-        "%-10s unfused %.4fs  fused %.4fs  best tile b%-4d %.4fs  "
-        "(tiled/fused %.2fx, iters %d)\n",
-        ec.name.c_str(), unfused, fused, best_tile, best_tiled, ratio,
-        unfused_iters);
+    std::printf("%-10s one block %.4fs  best tile b%-4d %.4fs  (iters %d%s)\n",
+                ec.name.c_str(), configs.front().best, best->tile_rows,
+                best->best, configs.front().iters,
+                identical ? "" : " MISMATCH");
   }
   doc.set("solvers", std::move(arr));
-  doc.set("min_tiled_speedup_vs_fused", worst_tiled_vs_fused);
-  doc.set("jacobi_best_fused_speedup_vs_unfused", jacobi_fused_speedup);
 
   std::ofstream out(out_path);
   if (!out.is_open()) {
@@ -587,63 +362,39 @@ int run_tile_scan(const Args& args) {
     return 1;
   }
   out << doc.dump(2) << "\n";
-  std::printf("jacobi batched fused vs unfused %.2fx -> %s\n",
-              jacobi_fused_speedup, out_path.c_str());
+  std::printf("tile-size scan -> %s\n", out_path.c_str());
   return 0;
 }
 
 // ---- 2-D vs 3-D unified-core comparison (BENCH_PR4) ----------------------
 
-/// Fixed-iteration configurations shared by both dimensions, so every
-/// engine and geometry runs exactly the same capped iteration count.
-std::vector<EngineCase> dim_compare_cases() {
-  std::vector<EngineCase> cases;
-  SolverConfig cg;
-  cg.type = SolverType::kCG;
-  cg.eps = 1e-300;
-  cg.max_iters = 30;
-  cases.push_back({"cg", cg});
-  SolverConfig chrono = cg;
-  chrono.fuse_cg_reductions = true;
-  cases.push_back({"cg-chrono", chrono});
-  SolverConfig cheby;
-  cheby.type = SolverType::kChebyshev;
-  cheby.eps = 1e-300;
-  cheby.eigen_cg_iters = 10;
-  cheby.max_iters = 40;
-  cases.push_back({"chebyshev", cheby});
-  SolverConfig ppcg;
-  ppcg.type = SolverType::kPPCG;
-  ppcg.eps = 1e-300;
-  ppcg.eigen_cg_iters = 8;
-  ppcg.max_iters = 16;
-  cases.push_back({"ppcg", ppcg});
-  SolverConfig jacobi;
-  jacobi.type = SolverType::kJacobi;
-  jacobi.eps = 1e-300;
-  jacobi.max_iters = 200;
-  cases.push_back({"jacobi", jacobi});
-  return cases;
-}
-
 /// One fixed-iteration MG-PCG solve (either dimension) on the deck's
 /// undecomposed grid, via the sweep's shared step runner so the bench
 /// always measures exactly the configuration the sweep ranks.  Returns
-/// solve seconds (hierarchy setup excluded — the per-iteration engines
-/// are what the fused/unfused axis A/Bs) and the iteration count.
-double time_mg_pcg_once(const InputDeck& base, bool fused, int max_iters,
-                        int* iters) {
+/// solve seconds (hierarchy setup excluded) and the iteration count.
+double time_mg_pcg_once(const InputDeck& base, int max_iters, int* iters) {
   InputDeck deck = base;
   deck.solver.type = SolverType::kCG;  // only sizes the halo allocation
   deck.solver.halo_depth = 1;
   TeaLeafApp app(deck, /*nranks=*/1);
   MGPreconditionedCG::Options opt;
-  opt.eps = 1e-300;  // unreachable: every engine runs max_iters exactly
+  opt.eps = 1e-300;  // unreachable: every run takes max_iters exactly
   opt.max_iters = max_iters;
-  opt.fused = fused;
   const MGPCGResult res = mg_pcg_step(app, deck, opt);
   *iters = res.iterations;
   return res.solve_seconds;
+}
+
+/// The dimension comparison's deck: the hot block at n² (2-D) or m³.
+InputDeck dim_deck(int dims, int mesh2d, int mesh3d) {
+  InputDeck deck = decks::hot_block(mesh2d, 1);
+  if (dims == 3) {
+    deck.dims = 3;
+    deck.x_cells = deck.y_cells = deck.z_cells = mesh3d;
+    deck.zmin = deck.xmin;
+    deck.zmax = deck.xmax;
+  }
+  return deck;
 }
 
 int run_dim_compare(const Args& args) {
@@ -657,7 +408,7 @@ int run_dim_compare(const Args& args) {
 
   io::JsonValue doc = io::JsonValue::object();
   doc.set("benchmark",
-          "dimension-generic core: 2-D vs 3-D fused/tiled engines (PR4)");
+          "dimension-generic core: 2-D vs 3-D tiled engine");
   doc.set("mesh_2d", mesh2d);
   doc.set("mesh_3d", mesh3d);
   doc.set("ranks", ranks);
@@ -666,136 +417,70 @@ int run_dim_compare(const Args& args) {
   doc.set("tile_rows", tile);
   io::JsonValue arr = io::JsonValue::array();
 
-  bool all_identical = true;
-  for (const EngineCase& ec : dim_compare_cases()) {
+  // Per solver and geometry: best-of-reps seconds of each timed
+  // configuration (one block per rank, then `tile`-row blocks for the
+  // native solvers; mg-pcg's multigrid row loops take no tile height).
+  const auto record = [&](const std::string& name, auto&& time_config,
+                          int nconfigs) {
     io::JsonValue entry = io::JsonValue::object();
-    entry.set("solver", ec.name);
+    entry.set("solver", name);
+    double per_cell_iter[2] = {0.0, 0.0};
     for (const int dims : {2, 3}) {
-      InputDeck deck = decks::hot_block(mesh2d, 1);
-      if (dims == 3) {
-        deck.dims = 3;
-        deck.x_cells = deck.y_cells = deck.z_cells = mesh3d;
-        deck.zmin = deck.xmin;
-        deck.zmax = deck.xmax;
-      }
-      deck.solver = ec.cfg;
-
-      struct Config {
-        bool fused;
-        int tile_rows;
-        double best = 0.0;
-        int iters = 0;
-      };
-      std::vector<Config> configs = {{false, 0}, {true, 0}, {true, tile}};
+      std::vector<double> best(static_cast<std::size_t>(nconfigs), 0.0);
+      std::vector<int> iters(static_cast<std::size_t>(nconfigs), 0);
       for (int rep = -1; rep < reps; ++rep) {  // first round is warmup
-        for (Config& c : configs) {
-          deck.solver.fuse_kernels = c.fused;
-          deck.solver.tile_rows = c.tile_rows;
-          const double s = time_fixed_once(deck, ranks, &c.iters);
-          if (rep <= 0 || s < c.best) c.best = s;
+        for (int i = 0; i < nconfigs; ++i) {
+          const double sec = time_config(dims, i, &iters[i]);
+          if (rep <= 0 || sec < best[i]) best[i] = sec;
         }
       }
-      const bool identical = configs[0].iters == configs[1].iters &&
-                             configs[0].iters == configs[2].iters;
-      all_identical = all_identical && identical;
-      const long long cells = dims == 3
-                                  ? 1LL * mesh3d * mesh3d * mesh3d
-                                  : 1LL * mesh2d * mesh2d;
+      bool identical = true;
+      for (const int it : iters) identical = identical && it == iters[0];
+      const long long cells = dims == 3 ? 1LL * mesh3d * mesh3d * mesh3d
+                                        : 1LL * mesh2d * mesh2d;
       io::JsonValue d = io::JsonValue::object();
       d.set("cells", cells);
-      d.set("iters", configs[0].iters);
-      d.set("unfused_seconds", configs[0].best);
-      d.set("fused_seconds", configs[1].best);
-      d.set("tiled_seconds", configs[2].best);
-      d.set("fused_speedup_vs_unfused",
-            configs[1].best > 0.0 ? configs[0].best / configs[1].best : 0.0);
-      d.set("tiled_speedup_vs_fused",
-            configs[2].best > 0.0 ? configs[1].best / configs[2].best : 0.0);
-      const double per_cell_iter =
-          configs[0].iters > 0
-              ? configs[1].best /
-                    (static_cast<double>(cells) * configs[0].iters)
-              : 0.0;
-      d.set("fused_seconds_per_cell_iter", per_cell_iter);
+      d.set("iters", iters[0]);
+      if (nconfigs == 2) {
+        d.set("one_block_seconds", best[0]);
+        d.set("tiled_seconds", best[1]);
+      } else {
+        d.set("seconds", best[0]);
+      }
+      per_cell_iter[dims - 2] =
+          iters[0] > 0 ? best.back() / (static_cast<double>(cells) * iters[0])
+                       : 0.0;
+      d.set("seconds_per_cell_iter", per_cell_iter[dims - 2]);
       d.set("identical_iterations", identical);
       entry.set(dims == 3 ? "3d" : "2d", std::move(d));
-      std::printf("%-10s %dD unfused %.4fs fused %.4fs tiled(b%d) %.4fs "
-                  "(iters %d%s)\n",
-                  ec.name.c_str(), dims, configs[0].best, configs[1].best,
-                  tile, configs[2].best, configs[0].iters,
+      std::printf("%-10s %dD %.4fs%s (iters %d%s)\n", name.c_str(), dims,
+                  best.back(), nconfigs == 2 ? " tiled" : "", iters[0],
                   identical ? "" : " MISMATCH");
     }
-    const double s2 = entry.at("2d").at("fused_seconds_per_cell_iter")
-                          .as_number();
-    const double s3 = entry.at("3d").at("fused_seconds_per_cell_iter")
-                          .as_number();
     entry.set("cost_ratio_3d_vs_2d_per_cell_iter",
-              s2 > 0.0 ? s3 / s2 : 0.0);
+              per_cell_iter[0] > 0.0 ? per_cell_iter[1] / per_cell_iter[0]
+                                     : 0.0);
     arr.push_back(std::move(entry));
-  }
+  };
 
-  // The mg-pcg baseline rides the same comparison now that the multigrid
-  // hierarchy is dimension-generic: fixed-iteration solves per geometry
-  // at unfused vs fused (mg-pcg's engine axis has no row tiling).
-  {
-    const int mg_iters = 8;
-    io::JsonValue entry = io::JsonValue::object();
-    entry.set("solver", "mg-pcg");
-    for (const int dims : {2, 3}) {
-      InputDeck deck = decks::hot_block(mesh2d, 1);
-      if (dims == 3) {
-        deck.dims = 3;
-        deck.x_cells = deck.y_cells = deck.z_cells = mesh3d;
-        deck.zmin = deck.xmin;
-        deck.zmax = deck.xmax;
-      }
-      struct Config {
-        bool fused;
-        double best = 0.0;
-        int iters = 0;
-      };
-      std::vector<Config> configs = {{false}, {true}};
-      for (int rep = -1; rep < reps; ++rep) {  // first round is warmup
-        for (Config& c : configs) {
-          const double s = time_mg_pcg_once(deck, c.fused, mg_iters,
-                                            &c.iters);
-          if (rep <= 0 || s < c.best) c.best = s;
-        }
-      }
-      const bool identical = configs[0].iters == configs[1].iters;
-      all_identical = all_identical && identical;
-      const long long cells = dims == 3
-                                  ? 1LL * mesh3d * mesh3d * mesh3d
-                                  : 1LL * mesh2d * mesh2d;
-      io::JsonValue d = io::JsonValue::object();
-      d.set("cells", cells);
-      d.set("iters", configs[0].iters);
-      d.set("unfused_seconds", configs[0].best);
-      d.set("fused_seconds", configs[1].best);
-      d.set("fused_speedup_vs_unfused",
-            configs[1].best > 0.0 ? configs[0].best / configs[1].best : 0.0);
-      const double per_cell_iter =
-          configs[0].iters > 0
-              ? configs[1].best /
-                    (static_cast<double>(cells) * configs[0].iters)
-              : 0.0;
-      d.set("fused_seconds_per_cell_iter", per_cell_iter);
-      d.set("identical_iterations", identical);
-      entry.set(dims == 3 ? "3d" : "2d", std::move(d));
-      std::printf("%-10s %dD unfused %.4fs fused %.4fs (iters %d%s)\n",
-                  "mg-pcg", dims, configs[0].best, configs[1].best,
-                  configs[0].iters, identical ? "" : " MISMATCH");
-    }
-    const double s2 = entry.at("2d").at("fused_seconds_per_cell_iter")
-                          .as_number();
-    const double s3 = entry.at("3d").at("fused_seconds_per_cell_iter")
-                          .as_number();
-    entry.set("cost_ratio_3d_vs_2d_per_cell_iter",
-              s2 > 0.0 ? s3 / s2 : 0.0);
-    arr.push_back(std::move(entry));
+  for (const EngineCase& ec : tile_scan_cases()) {
+    record(ec.name,
+           [&](int dims, int i, int* iters) {
+             InputDeck deck = dim_deck(dims, mesh2d, mesh3d);
+             deck.solver = ec.cfg;
+             deck.solver.tile_rows = i == 0 ? 0 : tile;
+             return time_fixed_once(deck, ranks, iters);
+           },
+           2);
   }
+  constexpr int kMgIters = 8;
+  record("mg-pcg",
+         [&](int dims, int, int* iters) {
+           return time_mg_pcg_once(dim_deck(dims, mesh2d, mesh3d), kMgIters,
+                                   iters);
+         },
+         1);
   doc.set("solvers", std::move(arr));
-  doc.set("identical_iterations", all_identical);
 
   std::ofstream out(out_path);
   if (!out.is_open()) {
@@ -809,7 +494,7 @@ int run_dim_compare(const Args& args) {
 
 // ---- solve-server batching (BENCH_PR6) ----------------------------------
 
-/// Fixed-iteration fused configurations for the server stream: eps is out
+/// Fixed-iteration configurations for the server stream: eps is out
 /// of reach so every request runs the same capped iteration count and the
 /// solo-vs-batched comparison is pure scheduling, not convergence luck.
 std::vector<EngineCase> server_bench_cases() {
@@ -818,7 +503,6 @@ std::vector<EngineCase> server_bench_cases() {
   cg.type = SolverType::kCG;
   cg.eps = 1e-300;
   cg.max_iters = 30;
-  cg.fuse_kernels = true;
   cases.push_back({"cg", cg});
   SolverConfig cheby = cg;
   cheby.type = SolverType::kChebyshev;
@@ -931,144 +615,6 @@ int run_server_bench(const Args& args) {
   return all_identical ? 0 : 1;
 }
 
-// ---- pipelined execution engine (BENCH_PR8) ------------------------------
-
-/// Fixed-iteration configurations for the pipeline comparison: the three
-/// chain targets (PPCG's matrix-powers inner steps, Jacobi's save+update
-/// pair, Chebyshev's iterate+residual pair).  eps is unreachable so every
-/// engine runs the same capped iteration count and the tiled-vs-pipelined
-/// comparison is pure scheduling.
-std::vector<EngineCase> pipeline_bench_cases() {
-  std::vector<EngineCase> cases;
-  SolverConfig ppcg;
-  ppcg.type = SolverType::kPPCG;
-  ppcg.eps = 1e-300;
-  ppcg.eigen_cg_iters = 8;
-  ppcg.max_iters = 16;
-  ppcg.halo_depth = 4;   // matrix-powers: d-step trapezoidal chains
-  ppcg.inner_steps = 10;
-  cases.push_back({"ppcg-mp4", ppcg});
-  SolverConfig cheby;
-  cheby.type = SolverType::kChebyshev;
-  cheby.eps = 1e-300;
-  cheby.eigen_cg_iters = 10;
-  cheby.max_iters = 40;
-  cases.push_back({"chebyshev", cheby});
-  SolverConfig jacobi;
-  jacobi.type = SolverType::kJacobi;
-  jacobi.eps = 1e-300;
-  jacobi.max_iters = 100;
-  cases.push_back({"jacobi", jacobi});
-  return cases;
-}
-
-int run_pipeline_bench(const Args& args) {
-  log::set_level(log::Level::kError);  // fixed-iteration runs hit max_iters
-  const int mesh2d = args.get_int("mesh", 512);
-  const int mesh3d = args.get_int("mesh3d", 40);
-  const int ranks = args.get_int("ranks", 4);
-  const int reps = args.get_int("reps", 3);
-  const int tile = args.get_int("tile", 8);
-  const std::string out_path = args.get("out", "BENCH_PR8.json");
-
-  io::JsonValue doc = io::JsonValue::object();
-  doc.set("benchmark",
-          "pipelined execution engine: cross-kernel row-block chains (PR8)");
-  doc.set("mesh_2d", mesh2d);
-  doc.set("mesh_3d", mesh3d);
-  doc.set("ranks", ranks);
-  doc.set("threads", num_threads());
-  doc.set("reps", reps);
-  doc.set("tile_rows", tile);
-  io::JsonValue arr = io::JsonValue::array();
-
-  bool all_identical = true;
-  double ppcg_pipe_vs_tiled = 0.0;
-  double jacobi_pipe_vs_tiled = 0.0;
-  for (const EngineCase& ec : pipeline_bench_cases()) {
-    io::JsonValue entry = io::JsonValue::object();
-    entry.set("solver", ec.name);
-    for (const int dims : {2, 3}) {
-      InputDeck deck = decks::hot_block(mesh2d, 1);
-      if (dims == 3) {
-        deck.dims = 3;
-        deck.x_cells = deck.y_cells = deck.z_cells = mesh3d;
-        deck.zmin = deck.xmin;
-        deck.zmax = deck.xmax;
-      }
-      deck.solver = ec.cfg;
-
-      struct Config {
-        int tile_rows;
-        bool pipeline;
-        double best = 0.0;
-        int iters = 0;
-      };
-      // Fused untiled, tiled, pipelined over the same row-blocks —
-      // round-robin with a warmup round, like the tile scan.
-      std::vector<Config> configs = {
-          {0, false}, {tile, false}, {tile, true}};
-      for (int rep = -1; rep < reps; ++rep) {
-        for (std::size_t i = 0; i < configs.size(); ++i) {
-          Config& c = configs[(i + static_cast<std::size_t>(rep + 1)) %
-                              configs.size()];
-          deck.solver.fuse_kernels = true;
-          deck.solver.tile_rows = c.tile_rows;
-          deck.solver.pipeline = c.pipeline;
-          const double s = time_fixed_once(deck, ranks, &c.iters);
-          if (rep <= 0 || s < c.best) c.best = s;
-        }
-      }
-      const bool identical = configs[0].iters == configs[1].iters &&
-                             configs[0].iters == configs[2].iters;
-      all_identical = all_identical && identical;
-      const long long cells = dims == 3
-                                  ? 1LL * mesh3d * mesh3d * mesh3d
-                                  : 1LL * mesh2d * mesh2d;
-      const double fused = configs[0].best;
-      const double tiled = configs[1].best;
-      const double piped = configs[2].best;
-      const double pipe_vs_tiled = piped > 0.0 ? tiled / piped : 0.0;
-      io::JsonValue d = io::JsonValue::object();
-      d.set("cells", cells);
-      d.set("iters", configs[0].iters);
-      d.set("fused_seconds", fused);
-      d.set("tiled_seconds", tiled);
-      d.set("pipelined_seconds", piped);
-      d.set("pipelined_speedup_vs_tiled", pipe_vs_tiled);
-      d.set("pipelined_speedup_vs_fused",
-            piped > 0.0 ? fused / piped : 0.0);
-      d.set("identical_iterations", identical);
-      entry.set(dims == 3 ? "3d" : "2d", std::move(d));
-      if (ec.name == "ppcg-mp4") {
-        ppcg_pipe_vs_tiled = std::max(ppcg_pipe_vs_tiled, pipe_vs_tiled);
-      }
-      if (ec.name == "jacobi") {
-        jacobi_pipe_vs_tiled = std::max(jacobi_pipe_vs_tiled, pipe_vs_tiled);
-      }
-      std::printf("%-10s %dD fused %.4fs  tiled(b%d) %.4fs  "
-                  "pipelined %.4fs  (pipe/tiled %.2fx, iters %d%s)\n",
-                  ec.name.c_str(), dims, fused, tile, tiled, piped,
-                  pipe_vs_tiled, configs[0].iters,
-                  identical ? "" : " MISMATCH");
-    }
-    arr.push_back(std::move(entry));
-  }
-  doc.set("solvers", std::move(arr));
-  doc.set("identical_iterations", all_identical);
-  doc.set("ppcg_pipelined_speedup_vs_tiled", ppcg_pipe_vs_tiled);
-  doc.set("jacobi_pipelined_speedup_vs_tiled", jacobi_pipe_vs_tiled);
-
-  std::ofstream out(out_path);
-  if (!out.is_open()) {
-    std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-    return 1;
-  }
-  out << doc.dump(2) << "\n";
-  std::printf("pipelined engine comparison -> %s\n", out_path.c_str());
-  return all_identical ? 0 : 1;
-}
-
 // ---- mixed-precision execution layer (BENCH_PR9) -------------------------
 
 /// Fixed-iteration configurations for the fp64-vs-fp32 bandwidth A/B: eps
@@ -1080,7 +626,6 @@ std::vector<EngineCase> precision_bench_cases() {
   cg.type = SolverType::kCG;
   cg.eps = 1e-300;
   cg.max_iters = 30;
-  cg.fuse_kernels = true;
   cases.push_back({"cg", cg});
   SolverConfig cheby = cg;
   cheby.type = SolverType::kChebyshev;
@@ -1364,7 +909,6 @@ int run_spmv_bench(const Args& args) {
   for (const EngineCase& ec : tile_scan_cases()) {
     InputDeck deck = decks::hot_block(mesh, 1);
     deck.solver = ec.cfg;
-    deck.solver.fuse_kernels = true;
 
     struct Config {
       OperatorKind op;
@@ -1428,12 +972,14 @@ int main(int argc, char** argv) {
   try {
     const Args args(argc, argv);
     if (args.has("precision")) return run_precision_bench(args);
-    if (args.has("pipeline")) return run_pipeline_bench(args);
     if (args.has("spmv")) return run_spmv_bench(args);
     if (args.has("server")) return run_server_bench(args);
     if (args.has("tile-scan")) return run_tile_scan(args);
     if (args.get_int("dim", 2) == 3) return run_dim_compare(args);
-    return run_engine_comparison(args);
+    std::fprintf(stderr,
+                 "usage: bench_kernels --tile-scan | --dim 3 | --server | "
+                 "--spmv | --precision | --gbench  (see the file header)\n");
+    return 1;
   } catch (const TeaError& e) {
     std::fprintf(stderr, "bench error: %s\n", e.what());
     return 1;

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Assert the engine-equivalence invariants of a BENCH_*.json artifact.
 
-The bench harnesses record ``identical_iterations`` wherever two execution
-engines solved the same problem (the engines are bitwise equivalent, so
-any mismatch is a correctness bug, not noise); the solve-server bench
+The bench harnesses record ``identical_iterations`` wherever two
+configurations of the engine (tile heights, geometries' fixed-iteration
+runs) solved the same problem (every configuration is bitwise equivalent,
+so any mismatch is a correctness bug, not noise); the solve-server bench
 records the stronger ``identical_results`` (bitwise-equal solution fields
 between batched and solo solves).  The old CI check was
 ``! grep -q '"identical_iterations": false'`` — which passes vacuously
@@ -11,7 +12,7 @@ when the key is missing or the file is empty.  This script fails on BOTH:
 every solver entry must carry at least one equivalence flag (directly or
 in a nested object) and every flag must be true.
 
-Usage: check_bench_smoke.py BENCH_PR2.json [BENCH_PR3.json ...]
+Usage: check_bench_smoke.py BENCH_PR3.json [BENCH_PR4.json ...]
 """
 
 import json
@@ -48,9 +49,9 @@ def check(path):
         if not all(flag is True for flag in flags):
             raise SystemExit(
                 f"{path}: solver '{name}' produced differing results "
-                f"across engines — the engines must be bitwise equivalent"
+                f"across configurations — they must be bitwise equivalent"
             )
-    print(f"{path}: {len(solvers)} solvers, all engine pairs identical")
+    print(f"{path}: {len(solvers)} solvers, all configurations identical")
 
 
 def main():

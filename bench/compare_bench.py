@@ -10,7 +10,7 @@ seconds per cell*iteration before comparing.  A fresh metric more than
 baseline fails the gate; faster-than-baseline is always fine.
 
 Usage:
-  compare_bench.py --baseline BENCH_PR2.json --fresh build/BENCH_PR2.json
+  compare_bench.py --baseline BENCH_PR3.json --fresh build/BENCH_PR3.json
                    [--tolerance 0.25] [--inject-slowdown 2.0]
 
 Override knob: --tolerance, or the BENCH_GATE_TOLERANCE environment
@@ -40,37 +40,14 @@ def per_cell_iter(seconds, cells, iters):
     return seconds / (cells * iters)
 
 
-def extract_pr2(doc):
-    """fused-vs-unfused engine comparison: mesh^2 cells, per-solver iters."""
-    cells = doc["mesh"] ** 2
-    metrics = {}
-    for entry in doc["solvers"]:
-        name = entry["solver"]
-        for kind, secs_key, iters_key in (
-            ("unfused", "unfused_seconds", "unfused_iters"),
-            ("fused", "fused_seconds", "fused_iters"),
-        ):
-            m = per_cell_iter(entry[secs_key], cells, entry[iters_key])
-            if m is not None:
-                metrics[f"{name}/{kind}"] = m
-    return metrics
-
-
 def extract_pr3(doc):
     """tile-size scan: mesh^2 cells, one iters per solver."""
     cells = doc["mesh"] ** 2
     metrics = {}
     for entry in doc["solvers"]:
-        name = entry["solver"]
-        iters = entry["iters"]
-        for kind, key in (
-            ("unfused", "unfused_seconds"),
-            ("fused", "fused_untiled_seconds"),
-            ("best-tiled", "best_tiled_seconds"),
-        ):
-            m = per_cell_iter(entry[key], cells, iters)
-            if m is not None:
-                metrics[f"{name}/{kind}"] = m
+        m = per_cell_iter(entry["best_tiled_seconds"], cells, entry["iters"])
+        if m is not None:
+            metrics[f"{entry['solver']}/best-tiled"] = m
     return metrics
 
 
@@ -84,12 +61,12 @@ def extract_pr4(doc):
             cells = d["cells"]
             iters = d["iters"]
             for kind, key in (
-                ("unfused", "unfused_seconds"),
-                ("fused", "fused_seconds"),
+                ("one-block", "one_block_seconds"),
                 ("tiled", "tiled_seconds"),
+                ("mg", "seconds"),
             ):
                 if key not in d:
-                    continue  # mg-pcg's engine axis has no row tiling
+                    continue  # mg-pcg has one configuration, natives two
                 m = per_cell_iter(d[key], cells, iters)
                 if m is not None:
                     metrics[f"{name}/{dims}/{kind}"] = m
@@ -132,26 +109,6 @@ def extract_pr7(doc):
     return metrics
 
 
-def extract_pr8(doc):
-    """pipelined engine: per-geometry cells/iters in each solver entry."""
-    metrics = {}
-    for entry in doc["solvers"]:
-        name = entry["solver"]
-        for dims in ("2d", "3d"):
-            d = entry[dims]
-            cells = d["cells"]
-            iters = d["iters"]
-            for kind, key in (
-                ("fused", "fused_seconds"),
-                ("tiled", "tiled_seconds"),
-                ("pipelined", "pipelined_seconds"),
-            ):
-                m = per_cell_iter(d[key], cells, iters)
-                if m is not None:
-                    metrics[f"{name}/{dims}/{kind}"] = m
-    return metrics
-
-
 def extract_pr9(doc):
     """mixed-precision layer: fixed-iteration fp64/fp32 series on mesh^2
     cells, plus the convergent mixed and fp64 riders on conv_mesh^2."""
@@ -176,12 +133,10 @@ def extract_pr9(doc):
 
 
 EXTRACTORS = (
-    ("fused-vs-unfused", extract_pr2),
     ("tile-size scan", extract_pr3),
     ("2-D vs 3-D", extract_pr4),
     ("solve-server", extract_pr6),
     ("assembled operators", extract_pr7),
-    ("pipelined execution engine", extract_pr8),
     ("mixed-precision execution layer", extract_pr9),
 )
 

@@ -4,10 +4,10 @@
 //
 // Since the dimension-generic core retired the tea3d fork, this example
 // runs through exactly the same mesh/comm/solver stack as every 2-D run —
-// including the fused execution engine and row tiling (--fused, --tile).
+// including the execution engine's row tiling (--tile; -1 = auto).
 //
 // Run:  ./examples/heat3d [--mesh 24] [--ranks 8] [--steps 3] [--depth 2]
-//                         [--fused 1] [--tile 8]
+//                         [--tile 8]
 
 #include <cmath>
 #include <cstdio>
@@ -16,10 +16,30 @@
 #include "ops/kernels.hpp"
 #include "solvers/solver.hpp"
 #include "util/args.hpp"
+#include "util/error.hpp"
+
+namespace {
+
+int run(const tealeaf::Args& args);
+
+}  // namespace
 
 int main(int argc, char** argv) {
+  const tealeaf::Args args(argc, argv);
+  try {
+    return run(args);
+  } catch (const tealeaf::TeaError& e) {
+    std::fprintf(stderr, "heat3d error: %s\n", e.what());
+    return 1;
+  }
+}
+
+namespace {
+
+int run(const tealeaf::Args& args) {
   using namespace tealeaf;
-  const Args args(argc, argv);
+  args.reject_retired("fused", "--tile");
+  args.reject_retired("pipeline", "--tile");
   const int n = args.get_int("mesh", 24);
   const int ranks = args.get_int("ranks", 8);
   const int steps = args.get_int("steps", 3);
@@ -58,14 +78,12 @@ int main(int argc, char** argv) {
   cfg.eigen_cg_iters = 15;
   cfg.eps = 1e-9;
   cfg.max_iters = 50000;
-  cfg.fuse_kernels = args.get_int("fused", 0) != 0;
-  cfg.tile_rows = args.get_int("tile", 0);
+  cfg.tile_rows = args.get_int("tile", -1);
 
   std::printf("heat3d: %d^3 cells on %d simulated ranks (%dx%dx%d), "
-              "PPCG depth %d%s\n", n, cl.nranks(),
+              "PPCG depth %d\n", n, cl.nranks(),
               cl.decomposition().px(), cl.decomposition().py(),
-              cl.decomposition().pz(), depth,
-              cfg.fuse_kernels ? " [fused engine]" : "");
+              cl.decomposition().pz(), depth);
 
   const double rx = dt / (mesh.dx() * mesh.dx());
   const double ry = dt / (mesh.dy() * mesh.dy());
@@ -102,3 +120,5 @@ int main(int argc, char** argv) {
               static_cast<long long>(stats.reductions));
   return 0;
 }
+
+}  // namespace

@@ -28,20 +28,17 @@ struct MGPCGResult {
 /// single-plane 3-D solve (nz = 1, kz ≡ 0) reproduces the 2-D iteration
 /// counts, residual norms and iterates exactly.
 ///
-/// Runs on the undecomposed global grid; its distributed communication
-/// cost is modelled analytically in src/model (DESIGN.md §2.3).
+/// Runs on the undecomposed global grid inside one parallel region per
+/// solve: every row loop — V-cycle smoothers included — workshares over
+/// the thread team, and dot products reduce per-row partials in row
+/// order, so results are independent of the thread count.  Its
+/// distributed communication cost is modelled analytically in src/model
+/// (DESIGN.md §2.3).
 class MGPreconditionedCG {
  public:
   struct Options {
     double eps = 1e-10;
     int max_iters = 1000;
-    /// Run the solve through the fused execution engine: one hoisted
-    /// parallel region per CG iteration whose row loops (including every
-    /// V-cycle smoother sweep) workshare over the thread team.  Dot
-    /// products reduce per-row partials in row order, so the fused solve
-    /// is bitwise identical to the serial baseline — the design-space
-    /// sweep A/Bs the two on speed alone, like the native solvers.
-    bool fused = false;
     Multigrid::Options mg;
   };
 

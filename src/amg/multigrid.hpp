@@ -85,7 +85,7 @@ class Multigrid {
   /// out ≈ A⁻¹·rhs via one V-cycle from a zero initial guess.
   /// `rhs`/`out` are interior-indexed fields of the fine grid shape.
   ///
-  /// With a Team (the fused mg-pcg path) every smoother/residual/transfer
+  /// With a Team (mg-pcg's path) every smoother/residual/transfer
   /// row loop workshares over the team with barriers between dependent
   /// phases; all threads of the region must call with the same arguments.
   /// Bitwise identical to the serial form — the per-row arithmetic is

@@ -308,17 +308,4 @@ double SimCluster::reduce_sum(const std::vector<double>& partials) {
   return total;
 }
 
-std::pair<double, double> SimCluster::reduce_sum2(
-    const std::vector<std::pair<double, double>>& partials) {
-  TEA_REQUIRE(static_cast<int>(partials.size()) == nranks(),
-              "one partial per rank required");
-  ++stats_.reductions;
-  double a = 0.0, b = 0.0;
-  for (const auto& [pa, pb] : partials) {
-    a += pa;
-    b += pb;
-  }
-  return {a, b};
-}
-
 }  // namespace tealeaf

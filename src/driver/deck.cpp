@@ -67,8 +67,8 @@ double to_double(const std::string& s, const std::string& key) {
   }
 }
 
-/// Boolean tl_* flags: bare (`tl_fuse_kernels`) or explicit
-/// (`tl_fuse_kernels=0`).  A non-boolean value is an error — a mistyped
+/// Boolean tl_* flags: bare (`tl_cg_fuse_reductions`) or explicit
+/// (`tl_cg_fuse_reductions=0`).  A non-boolean value is an error — a mistyped
 /// value must not silently enable the knob.
 bool to_flag(const std::string& s, const std::string& key) {
   if (s.empty() || s == "1" || s == "true" || s == "on") return true;
@@ -92,8 +92,7 @@ constexpr const char* kKnownKeys[] = {
     "tl_use_ppcg",    "tl_preconditioner_type",
     "tl_ppcg_inner_steps", "tl_eigen_cg_iters",
     "tl_cheby_presteps", "tl_halo_depth",
-    "tl_cg_fuse_reductions", "tl_fuse_kernels",
-    "tl_tile_rows",   "tl_pipeline",
+    "tl_cg_fuse_reductions", "tl_tile_rows",
     "tl_coefficient",
     "tl_operator",    "tl_precision",
     "tl_route_db",    "tl_route_learn",
@@ -101,11 +100,35 @@ constexpr const char* kKnownKeys[] = {
     "matrix_file",
     "sweep_solvers",  "sweep_precons",
     "sweep_halo_depths", "sweep_mesh_sizes",
-    "sweep_threads",  "sweep_fused",
-    "sweep_tile_rows", "sweep_pipeline",
+    "sweep_threads",  "sweep_tile_rows",
     "sweep_geometry",
     "sweep_operator", "sweep_precision",
     "sweep_ranks"};
+
+/// Keys of the retired engine tiers (fused, pipelined) and the one
+/// engine setting that replaced them.
+struct RetiredKey {
+  const char* key;
+  const char* replacement;
+};
+constexpr RetiredKey kRetiredKeys[] = {
+    {"tl_fuse_kernels", "tl_tile_rows"},
+    {"tl_pipeline", "tl_tile_rows"},
+    {"sweep_fused", "sweep_tile_rows"},
+    {"sweep_pipeline", "sweep_tile_rows"}};
+
+/// Reject a retired engine key with a pointer at its replacement.
+void reject_retired_key(const std::string& key) {
+  for (const RetiredKey& r : kRetiredKeys) {
+    if (key == r.key) {
+      throw TeaError("deck: key '" + key +
+                     "' was retired — every solve now runs the one tiled "
+                     "team engine, whose only setting is the row-block "
+                     "height; use '" + r.replacement +
+                     "' instead (-1 = auto, the default)");
+    }
+  }
+}
 
 /// Levenshtein distance, small-string edition (deck keys are short).
 std::size_t edit_distance(const std::string& a, const std::string& b) {
@@ -258,6 +281,7 @@ InputDeck InputDeck::parse(std::istream& in) {
       line >> value;  // `key value` form (may be empty for flags)
     }
 
+    reject_retired_key(key);
     if (key == "state") {
       std::istringstream full(raw);
       std::string skip;
@@ -318,13 +342,9 @@ InputDeck InputDeck::parse(std::istream& in) {
       deck.solver.halo_depth = static_cast<int>(to_double(value, key));
     } else if (key == "tl_cg_fuse_reductions") {
       deck.solver.fuse_cg_reductions = to_flag(value, key);
-    } else if (key == "tl_fuse_kernels") {
-      deck.solver.fuse_kernels = to_flag(value, key);
     } else if (key == "tl_tile_rows") {
       deck.solver.tile_rows =
           (value == "auto") ? -1 : static_cast<int>(to_double(value, key));
-    } else if (key == "tl_pipeline") {
-      deck.solver.pipeline = to_flag(value, key);
     } else if (key == "tl_operator") {
       deck.solver.op = operator_kind_from_string(value);
     } else if (key == "tl_precision") {
@@ -352,12 +372,8 @@ InputDeck InputDeck::parse(std::istream& in) {
       deck.sweep.mesh_sizes = split_int_list(value, key);
     } else if (key == "sweep_threads") {
       deck.sweep.thread_counts = split_int_list(value, key);
-    } else if (key == "sweep_fused") {
-      deck.sweep.fused = split_int_list(value, key);
     } else if (key == "sweep_tile_rows") {
       deck.sweep.tile_rows = split_int_list(value, key);
-    } else if (key == "sweep_pipeline") {
-      deck.sweep.pipeline = split_int_list(value, key);
     } else if (key == "sweep_geometry") {
       deck.sweep.geometries.clear();
       for (const std::string& g : split_list(value, key)) {
@@ -425,17 +441,7 @@ std::string InputDeck::to_string() const {
   os << "tl_eigen_cg_iters=" << solver.eigen_cg_iters << "\n";
   os << "tl_halo_depth=" << solver.halo_depth << "\n";
   if (solver.fuse_cg_reductions) os << "tl_cg_fuse_reductions\n";
-  if (solver.fuse_kernels) os << "tl_fuse_kernels\n";
-  if (solver.tile_rows != 0) {
-    os << "tl_tile_rows=";
-    if (solver.tile_rows < 0) {
-      os << "auto";
-    } else {
-      os << solver.tile_rows;
-    }
-    os << "\n";
-  }
-  if (solver.pipeline) os << "tl_pipeline\n";
+  if (solver.tile_rows >= 0) os << "tl_tile_rows=" << solver.tile_rows << "\n";
   if (solver.op != OperatorKind::kStencil) {
     os << "tl_operator=" << tealeaf::to_string(solver.op) << "\n";
   }
@@ -467,11 +473,7 @@ std::string InputDeck::to_string() const {
       join("sweep_mesh_sizes", sweep.mesh_sizes, [](int n) { return n; });
     }
     join("sweep_threads", sweep.thread_counts, [](int t) { return t; });
-    join("sweep_fused", sweep.fused, [](int f) { return f; });
     join("sweep_tile_rows", sweep.tile_rows, [](int t) { return t; });
-    if (sweep.pipeline != std::vector<int>{0}) {
-      join("sweep_pipeline", sweep.pipeline, [](int p) { return p; });
-    }
     if (!sweep.geometries.empty()) {
       join("sweep_geometry", sweep.geometries,
            [](int d) { return d == 3 ? "3d" : "2d"; });

@@ -27,9 +27,7 @@ std::string SweepCase::label() const {
   std::ostringstream os;
   os << solver << "/" << to_string(precon) << "/d" << halo_depth << "/n"
      << mesh_n << "/t" << threads;
-  if (fused) os << "/fused";
-  if (tile_rows != 0) os << "/b" << tile_rows;
-  if (pipeline) os << "/pipe";
+  if (tile_rows >= 0) os << "/b" << tile_rows;
   if (dims == 3) os << "/3d";
   if (op != "stencil") os << "/" << op;
   if (precision == "single") os << "/f32";
@@ -64,17 +62,13 @@ std::vector<SweepCase> enumerate_cases(const SweepSpec& spec, int base_mesh,
       for (const int depth : spec.halo_depths) {
         for (const int mesh : meshes) {
           for (const int threads : spec.thread_counts) {
-            for (const int fused : spec.fused) {
-              for (const int tile : spec.tile_rows) {
-                for (const int dims : geometries) {
-                  for (const std::string& op : operators) {
-                    for (const int pipe : spec.pipeline) {
-                      for (const std::string& prec : precisions) {
-                        cases.push_back({solver, precon, depth, mesh,
-                                         threads, fused != 0, tile, dims, op,
-                                         pipe != 0, prec});
-                      }
-                    }
+            for (const int tile : spec.tile_rows) {
+              for (const int dims : geometries) {
+                for (const std::string& op : operators) {
+                  for (const std::string& prec : precisions) {
+                    cases.push_back(
+                        {solver, precon, depth, mesh, threads, tile, dims,
+                         op, prec});
                   }
                 }
               }
@@ -165,8 +159,7 @@ void run_native_cell(const InputDeck& deck, int ranks, int steps,
 /// PETSc+BoomerAMG stand-in), so the cell always runs on one simulated
 /// rank and records no halo traffic; its cost is dominated by the
 /// per-step hierarchy setup.
-void run_mg_pcg_cell(InputDeck deck, int steps, bool fused,
-                     SweepOutcome& out) {
+void run_mg_pcg_cell(InputDeck deck, int steps, SweepOutcome& out) {
   deck.solver.type = SolverType::kCG;  // only sizes the halo allocation
   deck.solver.halo_depth = 1;
   SolveSession session(deck, /*nranks=*/1);
@@ -175,7 +168,6 @@ void run_mg_pcg_cell(InputDeck deck, int steps, bool fused,
   MGPreconditionedCG::Options opt;
   opt.eps = deck.solver.eps;
   opt.max_iters = deck.solver.max_iters;
-  opt.fused = fused;
 
   out.converged = true;
   for (int s = 0; s < steps; ++s) {
@@ -284,25 +276,12 @@ SweepReport run_sweep(const InputDeck& base, const SweepSpec& spec,
     deck.end_step = steps;
     deck.solver.precon = cs.precon;
     deck.solver.halo_depth = cs.halo_depth;
-    deck.solver.fuse_kernels = cs.fused;
     deck.solver.tile_rows = cs.tile_rows;
     deck.solver.op = operator_kind_from_string(cs.op);
-    deck.solver.pipeline = cs.pipeline;
     deck.solver.precision = precision_from_string(cs.precision);
 
     const bool mg_pcg = cs.solver == "mg-pcg";
-    if (cs.tile_rows != 0 && !cs.fused) {
-      // Row tiling is a layer of the fused engine; an unfused×tiled cell
-      // would silently measure the untiled path.
-      out.skipped = true;
-      out.skip_reason = "row tiling requires the fused execution engine";
-    } else if (cs.pipeline && !cs.fused) {
-      // Likewise the pipelined engine schedules the fused engine's
-      // row-blocks; an unfused×pipelined cell has no pipelined path.
-      out.skipped = true;
-      out.skip_reason =
-          "cross-kernel pipelining requires the fused execution engine";
-    } else if (mg_pcg && deck.solver.op != OperatorKind::kStencil) {
+    if (mg_pcg && deck.solver.op != OperatorKind::kStencil) {
       out.skipped = true;
       out.skip_reason =
           "mg-pcg rebuilds its hierarchy from the face coefficients and "
@@ -317,21 +296,17 @@ SweepReport run_sweep(const InputDeck& base, const SweepSpec& spec,
           "a loaded matrix_file operator has no stencil coefficients to "
           "re-assemble in fp32";
     } else if (mg_pcg) {
-      // MG *is* the preconditioner and uses no matrix-powers halo.  Its
-      // fused path hoists the V-cycle row loops into one team region per
-      // iteration (sweep_fused applies); row tiling does not.
+      // MG *is* the preconditioner and uses no matrix-powers halo; its
+      // multigrid row loops take no explicit tile height.
       if (cs.precon != PreconType::kNone) {
         out.skipped = true;
         out.skip_reason = "mg-pcg embeds multigrid as its preconditioner";
       } else if (cs.halo_depth > 1) {
         out.skipped = true;
         out.skip_reason = "matrix-powers halo depth applies to PPCG only";
-      } else if (cs.tile_rows != 0) {
+      } else if (cs.tile_rows > 0) {
         out.skipped = true;
-        out.skip_reason = "mg-pcg's fused path does not row-tile";
-      } else if (cs.pipeline) {
-        out.skipped = true;
-        out.skip_reason = "mg-pcg's fused path does not pipeline";
+        out.skip_reason = "mg-pcg's multigrid row loops do not row-tile";
       }
     } else {
       deck.solver.type = solver_type_from_string(cs.solver);
@@ -347,7 +322,7 @@ SweepReport run_sweep(const InputDeck& base, const SweepSpec& spec,
       ThreadScope threads(cs.threads);
       try {
         if (mg_pcg) {
-          run_mg_pcg_cell(deck, steps, cs.fused, out);
+          run_mg_pcg_cell(deck, steps, out);
         } else {
           run_native_cell(deck, spec.ranks, steps, opts.machine, out);
         }
@@ -420,9 +395,8 @@ namespace {
 
 constexpr const char* kCsvColumns[] = {
     "solver",      "precon",        "halo_depth",   "mesh",
-    "threads",     "fused",         "tile_rows",    "pipeline",
-    "geometry",    "operator",      "precision",    "sweep_ranks",
-    "sweep_steps",
+    "threads",     "tile_rows",     "geometry",     "operator",
+    "precision",   "sweep_ranks",   "sweep_steps",
     "status",      "converged",     "iterations",   "inner_steps",
     "spmv",        "reductions",    "exchanges",    "messages",
     "message_bytes", "final_norm",  "solve_seconds", "comm_seconds",
@@ -460,6 +434,18 @@ double csv_double(const std::string& s, const char* column) {
   }
 }
 
+/// Sweep reports from before the one-engine collapse carry `fused` /
+/// `pipeline` fields: their cells were timed on engine tiers that no
+/// longer exist, so ranking them would silently mis-route.
+[[noreturn]] void reject_retired_engine_field(const char* form,
+                                              const std::string& field) {
+  throw TeaError(std::string("sweep ") + form + ": field '" + field +
+                 "' belongs to a retired execution-engine tier — this "
+                 "report was timed on engines that no longer exist; re-run "
+                 "the sweep (tile height is the one engine axis: "
+                 "sweep_tile_rows)");
+}
+
 }  // namespace
 
 std::vector<std::string> SweepReport::to_csv_lines() const {
@@ -476,8 +462,7 @@ std::vector<std::string> SweepReport::to_csv_lines() const {
     const char* status =
         c.skipped ? "skipped" : (!c.fail_reason.empty() ? "failed" : "ok");
     csv.row(c.config.solver, to_string(c.config.precon), c.config.halo_depth,
-            c.config.mesh_n, c.config.threads, c.config.fused ? 1 : 0,
-            c.config.tile_rows, c.config.pipeline ? 1 : 0,
+            c.config.mesh_n, c.config.threads, c.config.tile_rows,
             c.config.dims == 3 ? "3d" : "2d",
             c.config.op, c.config.precision, ranks, steps, status,
             c.converged ? 1 : 0,
@@ -507,6 +492,11 @@ SweepReport SweepReport::from_csv_lines(
     return cells;
   };
   const std::size_t ncols = std::size(kCsvColumns);
+  for (const std::string& column : split(lines.front())) {
+    if (column == "fused" || column == "pipeline") {
+      reject_retired_engine_field("csv", column);
+    }
+  }
   TEA_REQUIRE(split(lines.front()).size() == ncols,
               "sweep csv: unexpected header");
 
@@ -520,31 +510,29 @@ SweepReport SweepReport::from_csv_lines(
     out.config.halo_depth = csv_int(f[2], "halo_depth");
     out.config.mesh_n = csv_int(f[3], "mesh");
     out.config.threads = csv_int(f[4], "threads");
-    out.config.fused = csv_int(f[5], "fused") != 0;
-    out.config.tile_rows = csv_int(f[6], "tile_rows");
-    out.config.pipeline = csv_int(f[7], "pipeline") != 0;
-    TEA_REQUIRE(f[8] == "2d" || f[8] == "3d", "sweep csv: bad geometry");
-    out.config.dims = f[8] == "3d" ? 3 : 2;
-    operator_kind_from_string(f[9]);  // throws on an unknown kind
-    out.config.op = f[9];
-    out.config.precision = to_string(precision_from_string(f[10]));
-    report.ranks = csv_int(f[11], "sweep_ranks");
-    report.steps = csv_int(f[12], "sweep_steps");
-    out.skipped = f[13] == "skipped";
+    out.config.tile_rows = csv_int(f[5], "tile_rows");
+    TEA_REQUIRE(f[6] == "2d" || f[6] == "3d", "sweep csv: bad geometry");
+    out.config.dims = f[6] == "3d" ? 3 : 2;
+    (void)operator_kind_from_string(f[7]);  // validates the kind
+    out.config.op = f[7];
+    out.config.precision = to_string(precision_from_string(f[8]));
+    report.ranks = csv_int(f[9], "sweep_ranks");
+    report.steps = csv_int(f[10], "sweep_steps");
+    out.skipped = f[11] == "skipped";
     // The CSV form reduces fail_reason to the status keyword (free-text
     // reasons may contain commas); JSON carries the full text.
-    if (f[13] == "failed") out.fail_reason = "failed";
-    out.converged = csv_int(f[14], "converged") != 0;
-    out.iterations = csv_int(f[15], "iterations");
-    out.inner_steps = csv_ll(f[16], "inner_steps");
-    out.spmv = csv_ll(f[17], "spmv");
-    out.reductions = csv_ll(f[18], "reductions");
-    out.exchanges = csv_ll(f[19], "exchanges");
-    out.messages = csv_ll(f[20], "messages");
-    out.message_bytes = csv_ll(f[21], "message_bytes");
-    out.final_norm = csv_double(f[22], "final_norm");
-    out.solve_seconds = csv_double(f[23], "solve_seconds");
-    out.comm_seconds = csv_double(f[24], "comm_seconds");
+    if (f[11] == "failed") out.fail_reason = "failed";
+    out.converged = csv_int(f[12], "converged") != 0;
+    out.iterations = csv_int(f[13], "iterations");
+    out.inner_steps = csv_ll(f[14], "inner_steps");
+    out.spmv = csv_ll(f[15], "spmv");
+    out.reductions = csv_ll(f[16], "reductions");
+    out.exchanges = csv_ll(f[17], "exchanges");
+    out.messages = csv_ll(f[18], "messages");
+    out.message_bytes = csv_ll(f[19], "message_bytes");
+    out.final_norm = csv_double(f[20], "final_norm");
+    out.solve_seconds = csv_double(f[21], "solve_seconds");
+    out.comm_seconds = csv_double(f[22], "comm_seconds");
     // The last two columns (speedup, rank) are derived; recomputed on
     // demand from the parsed cells.
     report.cells.push_back(std::move(out));
@@ -566,9 +554,7 @@ io::JsonValue SweepReport::to_json() const {
     cell.set("halo_depth", c.config.halo_depth);
     cell.set("mesh", c.config.mesh_n);
     cell.set("threads", c.config.threads);
-    cell.set("fused", c.config.fused);
     cell.set("tile_rows", c.config.tile_rows);
-    cell.set("pipeline", c.config.pipeline);
     cell.set("geometry", c.config.dims == 3 ? "3d" : "2d");
     cell.set("operator", c.config.op);
     cell.set("precision", c.config.precision);
@@ -618,22 +604,19 @@ SweepReport SweepReport::from_json(const io::JsonValue& doc) {
     out.config.halo_depth = static_cast<int>(cell.at("halo_depth").as_number());
     out.config.mesh_n = static_cast<int>(cell.at("mesh").as_number());
     out.config.threads = static_cast<int>(cell.at("threads").as_number());
-    if (cell.contains("fused")) {
-      out.config.fused = cell.at("fused").as_bool();
+    for (const char* retired : {"fused", "pipeline"}) {
+      if (cell.contains(retired)) reject_retired_engine_field("json", retired);
     }
     if (cell.contains("tile_rows")) {
       out.config.tile_rows =
           static_cast<int>(cell.at("tile_rows").as_number());
-    }
-    if (cell.contains("pipeline")) {
-      out.config.pipeline = cell.at("pipeline").as_bool();
     }
     if (cell.contains("geometry")) {
       out.config.dims = cell.at("geometry").as_string() == "3d" ? 3 : 2;
     }
     if (cell.contains("operator")) {
       out.config.op = cell.at("operator").as_string();
-      operator_kind_from_string(out.config.op);  // throws on unknown
+      (void)operator_kind_from_string(out.config.op);  // validates
     }
     if (cell.contains("precision")) {
       out.config.precision =

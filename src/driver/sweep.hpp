@@ -20,23 +20,20 @@ struct SweepCase {
   int halo_depth = 1;  ///< matrix-powers depth (PPCG)
   int mesh_n = 0;      ///< square mesh edge of this run
   int threads = 0;     ///< worker threads (0 = runtime default)
-  bool fused = false;  ///< run through the fused kernel execution engine
-  int tile_rows = 0;   ///< fused-engine row-block height (0 = untiled)
+  /// Engine row-block height (SolverConfig::tile_rows; -1 = auto).
+  int tile_rows = -1;
   int dims = 2;        ///< problem geometry: 2 (5-point) or 3 (7-point, n³)
   /// Operator representation: "stencil" | "csr" | "sell-c-sigma"
-  /// (SolverConfig::op — the ninth design-space axis).
+  /// (SolverConfig::op).
   std::string op = "stencil";
-  /// Run through the pipelined execution engine (cross-kernel row-block
-  /// chaining; SolverConfig::pipeline — the tenth design-space axis).
-  bool pipeline = false;
   /// Storage precision: "double" | "single" | "mixed"
-  /// (SolverConfig::precision — the eleventh design-space axis).
+  /// (SolverConfig::precision).
   std::string precision = "double";
 
-  /// Compact identifier, e.g. "ppcg/jac_diag/d4/n64/t2" (fused cells
-  /// carry a trailing "/fused", tiled cells "/fused/b<rows>", pipelined
-  /// cells "/pipe", 3-D cells "/3d", assembled-operator cells "/csr" or
-  /// "/sell-c-sigma", reduced-precision cells "/f32" or "/mixed").
+  /// Compact identifier, e.g. "ppcg/jac_diag/d4/n64/t2" (cells with an
+  /// explicit tile height carry "/b<rows>" — none at the auto default —
+  /// 3-D cells "/3d", assembled-operator cells "/csr" or "/sell-c-sigma",
+  /// reduced-precision cells "/f32" or "/mixed").
   [[nodiscard]] std::string label() const;
 };
 
@@ -104,7 +101,7 @@ struct SweepReport {
 
 /// Expand the axes into the full cross-product in deterministic order:
 /// solvers → preconditioners → halo depths → mesh sizes → threads →
-/// fused → tile rows → geometries → operators → pipeline → precision,
+/// tile rows → geometries → operators → precision,
 /// each axis in its declared order (precision entries are canonicalised,
 /// so "fp32" enumerates as "single").
 /// `base_mesh` substitutes for an empty mesh-size axis and `base_dims`

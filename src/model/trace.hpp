@@ -20,19 +20,12 @@ struct SolverRunSummary {
   int inner_steps = 10;    ///< PPCG inner Chebyshev steps per outer
   int cheby_check_interval = 20;
   bool fused_cg = false;   ///< Chronopoulos-Gear single-reduction CG
-  /// Row-block height the tiled execution engine actually ran with
-  /// (0 = untiled — including any tile knob under the unfused engine;
+  /// Row-block height the engine ran with (0 = one block per rank;
   /// -1 = auto, resolved by the scaling model against the modelled
   /// machine's L2).  The communication structure is unchanged by tiling;
   /// the scaling model uses this to pick the blocked-cache bytes/cell
   /// variants.
   int tile_rows = 0;
-  /// Whether the pipelined execution engine ran (cross-kernel row-block
-  /// chaining; false under the unfused engine whatever the knob says).
-  /// Pipelining never changes the communication structure — the scaling
-  /// model uses it to pick the chained bytes/cell variants when the
-  /// row-block also fits the modelled L2.
-  bool pipeline = false;
 
   /// Storage precision the solve ran with (SolverConfig::precision).
   /// single/mixed solves stream 4-byte elements through every solver-loop

@@ -33,9 +33,9 @@ inline void scalar_dispatch(const Chunk& c, Fn&& fn) {
 
 // ---- per-row reduction cores --------------------------------------------
 // Every reducing kernel accumulates one partial per row and combines the
-// rows in (plane, row) order; the full kernels and the row-blocked (tiled)
-// variants call the SAME cores, so the sum is a pure function of the row
-// decomposition — never of tile size or thread assignment.  The cores are
+// rows in (plane, row) order; whole-chunk and row-blocked kernels call the
+// SAME cores, so the sum is a pure function of the row decomposition —
+// never of tile size or thread assignment.  The cores are
 // templated on the OperatorView (stencil / CSR / SELL-C-σ) and, through
 // View::Scalar, on the storage scalar: elementwise arithmetic runs in the
 // scalar (fp32 under the mixed-precision layer), while every reduction
@@ -54,7 +54,7 @@ inline double dot_row(const Field<S>& a, const Field<S>& b, int nx, int k,
   return acc;
 }
 
-/// One row of smvp_dot: dst = A·src over [b.jlo, b.jhi), returning the
+/// One row of dst = A·src over [b.jlo, b.jhi), returning the
 /// interior part of Σ src·dst (0.0 when row (l,k) is outside the
 /// interior).
 template <class View, class S = typename View::Scalar>
@@ -72,7 +72,7 @@ inline double smvp_dot_row(const View& A, const Field<S>& src, Field<S>& dst,
   return acc;
 }
 
-/// One row of smvp_dot2: writes the pair (Σ other·src, Σ dst·src).
+/// One row of dst = A·src writing the pair (Σ other·src, Σ dst·src).
 template <class View, class S = typename View::Scalar>
 inline void smvp_dot2_row(const View& A, const Field<S>& src, Field<S>& dst,
                           const Field<S>& other, const Bounds& b,
@@ -94,7 +94,7 @@ inline void smvp_dot2_row(const View& A, const Field<S>& src, Field<S>& dst,
   pair_out[1] = dot_dst;
 }
 
-/// One row of calc_ur_dot for the local preconditioners.
+/// One row of the fused CG update + local preconditioner + ⟨r,z⟩.
 template <class View>
 inline double calc_ur_dot_row(Chunk& c, const View& A, double alpha,
                               bool diag, int k, int l) {
@@ -126,7 +126,7 @@ inline double calc_ur_dot_row(Chunk& c, const View& A, double alpha,
   return acc;
 }
 
-/// One row of cg_calc_ur.
+/// One row of the CG update u += α·p, r −= α·w.
 template <class S>
 inline void cg_calc_ur_row(Chunk& c, double alpha, int k, int l) {
   auto& u = c.field_t<S>(FieldId::kU);
@@ -210,8 +210,8 @@ inline double jacobi_update_row(Chunk& c, const View& A, int k, int l) {
   }
 }
 
-/// One row of the fused Chebyshev update (shared by the untiled lagged
-/// pass, the in-block lagged pass and the deferred edge pass).
+/// One row of the fused Chebyshev update (shared by the in-block lagged
+/// pass and the deferred edge pass).
 template <class View, class S = typename View::Scalar>
 inline void cheby_update_row(const View& A, Field<S>& res, Field<S>& dir,
                              Field<S>& acc, const Field<S>& w, double alpha,
@@ -229,17 +229,6 @@ inline void cheby_update_row(const View& A, Field<S>& res, Field<S>& dir,
 
 // ---- operator-dispatched kernel bodies -----------------------------------
 
-template <class View, class S = typename View::Scalar>
-double smvp_dot_impl(Chunk& c, const View& A, const Field<S>& src,
-                     Field<S>& dst, const Bounds& b) {
-  const Bounds in = interior_bounds(c);
-  double acc = 0.0;
-  for_rows(b, [&](int l, int k) {
-    acc += smvp_dot_row(A, src, dst, b, in, k, l);
-  });
-  return acc;
-}
-
 template <class View>
 double calc_residual_impl(Chunk& c, const View& A) {
   using S = typename View::Scalar;
@@ -249,30 +238,17 @@ double calc_residual_impl(Chunk& c, const View& A) {
   auto& r = c.field_t<S>(FieldId::kR);
   double acc = 0.0;
   for_rows(interior_bounds(c), [&](int l, int k) {
+    double row = 0.0;
     for (int j = 0; j < c.nx(); ++j) {
       const S wv = A.apply(u, j, k, l);
       w(j, k, l) = wv;
       const S rv = u0(j, k, l) - wv;
       r(j, k, l) = rv;
-      acc += static_cast<double>(rv) * static_cast<double>(rv);
+      row += static_cast<double>(rv) * static_cast<double>(rv);
     }
+    acc += row;
   });
   return acc;
-}
-
-template <class View>
-double jacobi_iterate_impl(Chunk& c, const View& A) {
-  using S = typename View::Scalar;
-  // Save the previous iterate (halo included: neighbours' u arrives
-  // there; 3-D chunks also save the z halo planes their stencils read).
-  const int zext = (c.dims() == 3) ? 1 : 0;
-  for (int l = -zext; l < c.nz() + zext; ++l)
-    for (int k = -1; k < c.ny() + 1; ++k) jacobi_save_row<S>(c, k, l);
-  double err = 0.0;
-  for_rows(interior_bounds(c), [&](int l, int k) {
-    err += jacobi_update_row(c, A, k, l);
-  });
-  return err;
 }
 
 template <class View, class S = typename View::Scalar>
@@ -290,61 +266,14 @@ void cheby_init_dir_impl(Chunk& c, const View& A, const Field<S>& res,
 }
 
 template <class View, class S = typename View::Scalar>
-void cheby_fused_update_impl(Chunk& c, const View& A, Field<S>& res,
-                             Field<S>& dir, Field<S>& acc, double alpha,
-                             double beta, bool diag_precon, const Bounds& b) {
-  const auto& w = c.field_t<S>(FieldId::kW);
-  for_rows(b, [&](int l, int k) {
-    cheby_update_row(A, res, dir, acc, w, alpha, beta, diag_precon, b, k, l);
-  });
-}
-
-template <class View, class S = typename View::Scalar>
-void cheby_step_impl(Chunk& c, const View& A, Field<S>& res, Field<S>& dir,
-                     Field<S>& acc, double alpha, double beta,
-                     bool diag_precon, const Bounds& b) {
-  auto& w = c.field_t<S>(FieldId::kW);
-  // Row-lagged fusion: the stencil of flattened row ρ reads dir rows up
-  // to ρ+L, so row ρ−L may be updated as soon as w row ρ is in place —
-  // dir values feeding every operator application are pristine, as in the
-  // two-pass form.  L comes from the view: 1 for 2-D stencils, the rows-
-  // per-plane for 3-D ones, and the assembled matrices' measured row
-  // reach (which degenerates to a clean two-pass sweep when it spans the
-  // box).
-  const int W = b.khi - b.klo;
-  const int nrows = b.rows();
-  const int L = A.lag(b);
-  const auto row_of = [&](int rho, int* k, int* l) {
-    *l = b.llo + rho / W;
-    *k = b.klo + rho % W;
-  };
-  for (int rho = 0; rho < nrows; ++rho) {
-    int k = 0, l = 0;
-    row_of(rho, &k, &l);
-    for (int j = b.jlo; j < b.jhi; ++j) {
-      w(j, k, l) = A.apply(dir, j, k, l);
-    }
-    if (rho >= L) {
-      row_of(rho - L, &k, &l);
-      cheby_update_row(A, res, dir, acc, w, alpha, beta, diag_precon, b, k,
-                       l);
-    }
-  }
-  for (int rho = std::max(0, nrows - L); rho < nrows; ++rho) {
-    int k = 0, l = 0;
-    row_of(rho, &k, &l);
-    cheby_update_row(A, res, dir, acc, w, alpha, beta, diag_precon, b, k, l);
-  }
-}
-
-template <class View, class S = typename View::Scalar>
 void cheby_step_tile_impl(Chunk& c, const View& A, Field<S>& res,
                           Field<S>& dir, Field<S>& acc, double alpha,
                           double beta, bool diag_precon, const Bounds& b,
                           const Bounds& tb) {
   auto& w = c.field_t<S>(FieldId::kW);
   if constexpr (View::kInBlockLag) {
-    // In-block row-lagged fusion, as in the untiled cheby_step, except
+    // In-block row-lagged fusion: the stencil of row k reads dir rows
+    // k±1, so row k-1 may update once w row k is in place — except that
     // rows tb.klo and tb.khi-1 stay un-updated: a neighbouring block's
     // stencil reads dir(klo-1..klo) / dir(khi-1..khi), so those rows must
     // keep their pristine values until every block's stencil sweep is
@@ -432,8 +361,8 @@ void jacobi_tile_impl(Chunk& c, const View& A, const Bounds& tb,
   } else {
     // 3-D save phase: each tile saves its own rows plus the halo rows and
     // planes its boundary position uniquely owns, so the union over all
-    // tiles is exactly the halo-extended save set of jacobi_iterate that
-    // the update stencils read.  Updates defer entirely (adjacent planes'
+    // tiles is exactly the halo-extended save set the update stencils
+    // read.  Updates defer entirely (adjacent planes'
     // stencils — other tiles — read every saved row).
     (void)row_sums;
     (void)A;
@@ -537,14 +466,6 @@ void init_conduction_impl(Chunk& c, Coefficient coef, double rx, double ry,
 
 }  // namespace
 
-double diag_at(const Chunk& c, int j, int k, int l) {
-  double d = 0.0;
-  op_dispatch(c, [&](const auto& A) {
-    d = static_cast<double>(A.diag(j, k, l));
-  });
-  return d;
-}
-
 void init_u_u0(Chunk& c) {
   auto& u = c.u();
   auto& u0 = c.u0();
@@ -590,17 +511,6 @@ void smvp(Chunk& c, FieldId src_id, FieldId dst_id, const Bounds& b) {
   });
 }
 
-double smvp_dot(Chunk& c, FieldId src_id, FieldId dst_id, const Bounds& b) {
-  double acc = 0.0;
-  op_dispatch(c, [&](const auto& A) {
-    using S = typename std::decay_t<decltype(A)>::Scalar;
-    const auto& src = c.field_t<S>(src_id);
-    auto& dst = c.field_t<S>(dst_id);
-    acc = smvp_dot_impl(c, A, src, dst, b);
-  });
-  return acc;
-}
-
 void copy(Chunk& c, FieldId dst_id, FieldId src_id, const Bounds& b) {
   scalar_dispatch(c, [&](auto tag) {
     using S = decltype(tag);
@@ -608,17 +518,6 @@ void copy(Chunk& c, FieldId dst_id, FieldId src_id, const Bounds& b) {
     auto& dst = c.field_t<S>(dst_id);
     for_rows(b, [&](int l, int k) {
       for (int j = b.jlo; j < b.jhi; ++j) dst(j, k, l) = src(j, k, l);
-    });
-  });
-}
-
-void fill(Chunk& c, FieldId f, double value, const Bounds& b) {
-  scalar_dispatch(c, [&](auto tag) {
-    using S = decltype(tag);
-    auto& dst = c.field_t<S>(f);
-    const S v = static_cast<S>(value);
-    for_rows(b, [&](int l, int k) {
-      for (int j = b.jlo; j < b.jhi; ++j) dst(j, k, l) = v;
     });
   });
 }
@@ -684,20 +583,6 @@ double calc_residual(Chunk& c) {
   return acc;
 }
 
-void cg_calc_ur(Chunk& c, double alpha) {
-  scalar_dispatch(c, [&](auto tag) {
-    using S = decltype(tag);
-    for_rows(interior_bounds(c),
-             [&](int l, int k) { cg_calc_ur_row<S>(c, alpha, k, l); });
-  });
-}
-
-double jacobi_iterate(Chunk& c) {
-  double err = 0.0;
-  op_dispatch(c, [&](const auto& A) { err = jacobi_iterate_impl(c, A); });
-  return err;
-}
-
 void cheby_init_dir(Chunk& c, FieldId res_id, FieldId dir_id, double theta,
                     bool diag_precon, const Bounds& b) {
   op_dispatch(c, [&](const auto& A) {
@@ -706,86 +591,6 @@ void cheby_init_dir(Chunk& c, FieldId res_id, FieldId dir_id, double theta,
     auto& dir = c.field_t<S>(dir_id);
     cheby_init_dir_impl(c, A, res, dir, theta, diag_precon, b);
   });
-}
-
-void cheby_fused_update(Chunk& c, FieldId res_id, FieldId dir_id,
-                        FieldId acc_id, double alpha, double beta,
-                        bool diag_precon, const Bounds& b) {
-  op_dispatch(c, [&](const auto& A) {
-    using S = typename std::decay_t<decltype(A)>::Scalar;
-    auto& res = c.field_t<S>(res_id);
-    auto& dir = c.field_t<S>(dir_id);
-    auto& acc = c.field_t<S>(acc_id);
-    cheby_fused_update_impl(c, A, res, dir, acc, alpha, beta, diag_precon, b);
-  });
-}
-
-double calc_ur_dot(Chunk& c, double alpha, PreconType precon) {
-  switch (precon) {
-    case PreconType::kNone:
-    case PreconType::kJacobiDiag: {
-      const bool diag = (precon == PreconType::kJacobiDiag);
-      double acc = 0.0;
-      op_dispatch(c, [&](const auto& A) {
-        for_rows(interior_bounds(c), [&](int l, int k) {
-          acc += calc_ur_dot_row(c, A, alpha, diag, k, l);
-        });
-      });
-      return acc;
-    }
-    case PreconType::kJacobiBlock: {
-      // The strip solve couples cells along k; the u/r update still fuses
-      // and the ⟨r,z⟩ accumulation folds into one pass after the solve.
-      cg_calc_ur(c, alpha);
-      block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
-      return dot(c, FieldId::kR, FieldId::kZ);
-    }
-  }
-  TEA_ASSERT(false, "invalid preconditioner type");
-}
-
-void cheby_step(Chunk& c, FieldId res_id, FieldId dir_id, FieldId acc_id,
-                double alpha, double beta, bool diag_precon,
-                const Bounds& b) {
-  op_dispatch(c, [&](const auto& A) {
-    using S = typename std::decay_t<decltype(A)>::Scalar;
-    auto& res = c.field_t<S>(res_id);
-    auto& dir = c.field_t<S>(dir_id);
-    auto& acc = c.field_t<S>(acc_id);
-    cheby_step_impl(c, A, res, dir, acc, alpha, beta, diag_precon, b);
-  });
-}
-
-void cg_chrono_update(Chunk& c, double alpha, double beta,
-                      PreconType precon) {
-  const bool diag = (precon == PreconType::kJacobiDiag);
-  const bool local = (precon != PreconType::kJacobiBlock);
-  op_dispatch(c, [&](const auto& A) {
-    for_rows(interior_bounds(c), [&](int l, int k) {
-      cg_chrono_update_row(c, A, alpha, beta, diag, local, k, l);
-    });
-  });
-  if (!local) block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
-}
-
-std::pair<double, double> smvp_dot2(Chunk& c, FieldId src_id, FieldId dst_id,
-                                    FieldId other_id, const Bounds& b) {
-  const Bounds in = interior_bounds(c);
-  double dot_other = 0.0;
-  double dot_dst = 0.0;
-  op_dispatch(c, [&](const auto& A) {
-    using S = typename std::decay_t<decltype(A)>::Scalar;
-    const auto& src = c.field_t<S>(src_id);
-    const auto& other = c.field_t<S>(other_id);
-    auto& dst = c.field_t<S>(dst_id);
-    for_rows(b, [&](int l, int k) {
-      double pair[2];
-      smvp_dot2_row(A, src, dst, other, b, in, k, l, pair);
-      dot_other += pair[0];
-      dot_dst += pair[1];
-    });
-  });
-  return {dot_other, dot_dst};
 }
 
 // ---- row-blocked (tiled) variants ---------------------------------------
@@ -891,21 +696,6 @@ void cheby_step_tile_edges(Chunk& c, FieldId res_id, FieldId dir_id,
     auto& acc = c.field_t<S>(acc_id);
     cheby_step_tile_edges_impl(c, A, res, dir, acc, alpha, beta, diag_precon,
                                b, tb);
-  });
-}
-
-void jacobi_save_rows(Chunk& c, const Bounds& tb) {
-  scalar_dispatch(c, [&](auto tag) {
-    using S = decltype(tag);
-    for_rows(tb, [&](int l, int k) { jacobi_save_row<S>(c, k, l); });
-  });
-}
-
-void jacobi_update_rows(Chunk& c, const Bounds& tb, double* row_sums) {
-  op_dispatch(c, [&](const auto& A) {
-    for_rows(tb, [&](int l, int k) {
-      row_sums[l * c.ny() + k] = jacobi_update_row(c, A, k, l);
-    });
   });
 }
 

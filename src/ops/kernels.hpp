@@ -42,9 +42,6 @@ enum class Coefficient : int {
   kRecipConductivity = 2,  ///< coefficient = 1/density
 };
 
-/// Diagonal of A at cell (j,k[,l]): 1 + ΣK over the 2·dims faces.
-[[nodiscard]] double diag_at(const Chunk& c, int j, int k, int l = 0);
-
 /// u = energy · density (temperature), u0 = u; also clears the solver
 /// work vectors.  Upstream: tea_leaf_common_init (first half).
 void init_u_u0(Chunk& c);
@@ -60,18 +57,10 @@ void init_conduction(Chunk& c, Coefficient coef, double rx, double ry,
 /// dst = A·src over `bounds`.  Upstream: tea_leaf_kernel smvp macro.
 void smvp(Chunk& c, FieldId src, FieldId dst, const Bounds& bounds);
 
-/// dst = A·src over `bounds`; returns Σ src·dst over the interior
-/// (the fused form of Listing 1 in the paper).
-[[nodiscard]] double smvp_dot(Chunk& c, FieldId src, FieldId dst,
-                              const Bounds& bounds);
-
 // ---- generic vector kernels -------------------------------------------
 
 /// dst = src over `bounds`.
 void copy(Chunk& c, FieldId dst, FieldId src, const Bounds& bounds);
-
-/// f = value over `bounds`.
-void fill(Chunk& c, FieldId f, double value, const Bounds& bounds);
 
 /// y = y + a·x over `bounds`.
 void axpy(Chunk& c, FieldId y, double a, FieldId x, const Bounds& bounds);
@@ -96,16 +85,6 @@ void axpby(Chunk& c, FieldId y, double a, double b, FieldId x,
 /// must have exchanged u to depth 1.  Returns Σ r·r.
 double calc_residual(Chunk& c);
 
-/// u += α·p and r −= α·w over the interior.  Upstream: cg_calc_ur.
-void cg_calc_ur(Chunk& c, double alpha);
-
-// ---- Jacobi kernel (upstream tea_leaf_jacobi_solve_kernel) -------------
-
-/// One Jacobi sweep: saves u into r (old iterate scratch), then
-/// u = (u0 + ΣK·u_old(neighbours)) / diag over the interior.
-/// Returns Σ|u_new − u_old| accumulated in (plane, row) order.
-double jacobi_iterate(Chunk& c);
-
 // ---- Chebyshev / PPCG shared kernels -----------------------------------
 // The Chebyshev acceleration recurrence (paper §III-C, Saad) is:
 //   dir_1 = M⁻¹·res / θ;       acc += dir_1
@@ -122,117 +101,73 @@ double jacobi_iterate(Chunk& c);
 void cheby_init_dir(Chunk& c, FieldId res, FieldId dir, double theta,
                     bool diag_precon, const Bounds& bounds);
 
-/// res −= w;  dir = α·dir + β·M⁻¹·res;  acc += dir, over `bounds`.
-/// `w` must already hold A·dir (from smvp over the same bounds).
-void cheby_fused_update(Chunk& c, FieldId res, FieldId dir, FieldId acc,
-                        double alpha, double beta, bool diag_precon,
-                        const Bounds& bounds);
-
-// ---- fused single-pass kernels (the fused execution engine) -------------
-// Each kernel below collapses a sequence of the sweeps above into one pass
-// over the fields, cell-for-cell in the same evaluation and accumulation
-// order — results are bitwise identical to the unfused composition, so the
-// sweep engine can A/B the two execution modes on speed alone.
-
-/// Fused CG update + preconditioner apply + ⟨r,z⟩ in ONE pass over the
-/// interior (unfused: cg_calc_ur, apply_preconditioner, dot — three
-/// sweeps):  u += α·p;  r −= α·w;  z = M⁻¹·r;  returns Σ r·z.
-/// kNone skips the z write and returns Σ r·r (z is never read in that
-/// mode); block-Jacobi keeps its strip solve as a separate pass because
-/// the strips couple cells vertically.
-[[nodiscard]] double calc_ur_dot(Chunk& c, double alpha, PreconType precon);
-
-/// Fused Chebyshev recurrence step in ONE row-lagged pass over `bounds`
-/// (unfused: smvp + cheby_fused_update — two sweeps):
-///   w = A·dir;  res −= w;  dir = α·dir + β·M⁻¹·res;  acc += dir.
-/// The stencil of flattened row ρ reads dir rows up to ρ+L away, where
-/// L = 1 in 2-D (the k±1 neighbours) and L = rows-per-plane in 3-D (the
-/// l±1 neighbours), so the update lags L rows behind the stencil sweep;
-/// dir values feeding every stencil are the pristine pre-update values,
-/// exactly as in the unfused two-pass form.  Only local preconditioners
-/// (identity/diagonal) fuse.
-void cheby_step(Chunk& c, FieldId res, FieldId dir, FieldId acc,
-                double alpha, double beta, bool diag_precon,
-                const Bounds& bounds);
-
-/// Fused Chronopoulos-Gear CG step, vector half: ONE pass doing the tail
-/// of iteration i−1 and the head of iteration i (unfused: two xpby, two
-/// axpy and a preconditioner sweep — five):
-///   p = z + β·p;  s(=sd) = w + β·s;  u += α·p;  r −= α·s;  z = M⁻¹·r.
-/// β = 0 reproduces the bootstrap (p = z, s = w).  Block-Jacobi applies
-/// its strip solve as a separate pass after the pointwise update.
-void cg_chrono_update(Chunk& c, double alpha, double beta,
-                      PreconType precon);
-
-/// Fused Chronopoulos-Gear CG step, operator half: dst = A·src over
-/// `bounds` with both dot products of the iteration folded into the same
-/// pass.  Returns (Σ other·src, Σ dst·src) over the interior — for
-/// src = z, dst = w, other = r this is (⟨r,z⟩, ⟨w,z⟩), the pair that
-/// travels in the single fused allreduce.
-[[nodiscard]] std::pair<double, double> smvp_dot2(Chunk& c, FieldId src,
-                                                  FieldId dst, FieldId other,
-                                                  const Bounds& bounds);
-
-// ---- row-blocked (tiled) kernel variants --------------------------------
-// The tiled execution engine (SolverConfig::tile_rows) cuts every sweep
-// into row-blocks so the per-block working set fits in L2, and workshares
-// the (rank, row-block) pairs over the whole thread team.  A "row" is one
-// unit-stride line of cells — (plane l, row k) in 3-D — and the engine
-// tiles the flattened (l, k) row space, so `tl_tile_rows` row-blocks 2-D
-// sweeps and plane/row-blocks 3-D ones with the same knob.  Each variant
-// below processes only the rows of the tile box `tb` (a single-plane
-// k-range in the engine's schedule; tb's j range is ignored — the sweep
-// bounds `b` or the interior provide it) and is built on the SAME per-row
-// core as the full kernel, so any tiling of the row range — and any
-// assignment of blocks to threads — produces bitwise-identical fields.
-// Reducing variants deposit one partial per interior row into `row_sums`
-// at the flattened index ρ = l·ny + k (the chunk's `row_scratch`); the
-// engine then combines rows in row order followed by ranks in rank order,
-// which is exactly the accumulation order of the full kernels.  Kernels
+// ---- row-blocked solver kernels (the execution engine) ------------------
+// The execution engine (SolverConfig::tile_rows) cuts every solver sweep
+// into row-blocks so the per-block working set fits in L2, and
+// workshares the (rank, row-block) pairs over the whole thread team.  A
+// "row" is one unit-stride line of cells — (plane l, row k) in 3-D — and
+// the engine tiles the flattened (l, k) row space, so `tl_tile_rows`
+// row-blocks 2-D sweeps and plane/row-blocks 3-D ones with the same knob.
+// Each kernel below processes only the rows of the tile box `tb` (a
+// single-plane k-range in the engine's schedule; tb's j range is ignored
+// — the sweep bounds `b` or the interior provide it), built on per-row
+// cores, so any tiling of the row range — and any assignment of blocks
+// to threads — produces bitwise-identical fields.  Reducing kernels
+// deposit one partial per interior row into `row_sums` at the flattened
+// index ρ = l·ny + k (the chunk's `row_scratch`); the engine then
+// combines rows in row order followed by ranks in rank order.  Kernels
 // whose preconditioner couples rows (block-Jacobi strip solves) do not
 // row-tile; the engine composes them from the pointwise parts plus a
-// per-rank strip pass, matching the full kernels' internal composition.
+// per-rank strip pass.
 
-/// Rows of `tb` of `dot` (use a == b for norm²).
+/// Rows of `tb` of Σ a·b (use a == b for norm²).
 void dot_rows(const Chunk& c, FieldId a, FieldId b, const Bounds& tb,
               double* row_sums);
 
-/// Rows of `tb` of `smvp_dot` over `bounds` (row_sums written for
-/// interior rows only; halo-extension rows just sweep).
+/// Rows of `tb` of dst = A·src over `bounds` with Σ src·dst folded in
+/// (Listing 1 of the paper; row_sums written for interior rows only,
+/// halo-extension rows just sweep).
 void smvp_dot_rows(Chunk& c, FieldId src, FieldId dst, const Bounds& bounds,
                    const Bounds& tb, double* row_sums);
 
-/// Rows of `tb` of `smvp_dot2`: two partials per row, row_sums[2ρ] =
-/// Σ other·src and row_sums[2ρ+1] = Σ dst·src over row ρ.
+/// Rows of `tb` of dst = A·src over `bounds` with both dot products of a
+/// Chronopoulos-Gear iteration folded in: two partials per row,
+/// row_sums[2ρ] = Σ other·src and row_sums[2ρ+1] = Σ dst·src over row ρ
+/// — for src = z, dst = w, other = r the pair (⟨r,z⟩, ⟨w,z⟩) that
+/// travels in the single fused allreduce.
 void smvp_dot2_rows(Chunk& c, FieldId src, FieldId dst, FieldId other,
                     const Bounds& bounds, const Bounds& tb,
                     double* row_sums);
 
-/// Rows of `tb` of `cg_calc_ur` (u += α·p, r −= α·w).
+/// Rows of `tb` of the CG update u += α·p, r −= α·w (upstream
+/// cg_calc_ur).
 void cg_calc_ur_rows(Chunk& c, double alpha, const Bounds& tb);
 
-/// Rows of `tb` of `calc_ur_dot` for the LOCAL preconditioners only
-/// (kNone / kJacobiDiag); block-Jacobi is composed by the engine from
-/// cg_calc_ur_rows + block_jacobi_solve + dot_rows.
+/// Rows of `tb` of the CG update, preconditioner apply and ⟨r,z⟩ in ONE
+/// pass:  u += α·p;  r −= α·w;  z = M⁻¹·r;  row partial Σ r·z — for the
+/// LOCAL preconditioners only (kNone skips the z write and sums r·r);
+/// block-Jacobi is composed by the engine from cg_calc_ur_rows +
+/// block_jacobi_solve + dot_rows.
 void calc_ur_dot_rows(Chunk& c, double alpha, PreconType precon,
                       const Bounds& tb, double* row_sums);
 
-/// Rows of `tb` of the pointwise part of `cg_chrono_update` (for local
-/// preconditioners the whole kernel; for block-Jacobi the engine runs the
-/// strip solve as a separate per-rank pass, as the full kernel does).
+/// Rows of `tb` of the Chronopoulos-Gear vector update — the tail of
+/// iteration i−1 and the head of iteration i in one pass:
+///   p = z + β·p;  s(=sd) = w + β·s;  u += α·p;  r −= α·s;  z = M⁻¹·r
+/// (β = 0 is the bootstrap p = z, s = w).  Block-Jacobi skips the z
+/// write; the engine runs its strip solve as a separate per-rank pass.
 void cg_chrono_update_rows(Chunk& c, double alpha, double beta,
                            PreconType precon, const Bounds& tb);
 
-/// Tile `tb` of the fused Chebyshev step: computes w = A·dir for all rows
-/// of the tile and applies as much of the update in-pass as the stencil
-/// dependences allow.  2-D: the in-block row-lagged update of the
-/// untiled cheby_step, with the first and last row of the block deferred
-/// (a neighbouring block's stencil still reads their pristine `dir`).
-/// 3-D: every row of a plane is read by the adjacent planes' stencils, so
-/// the whole update defers.  After a team barrier,
-/// `cheby_step_tile_edges` finishes the deferred rows.  The per-cell
-/// arithmetic is the untiled `cheby_step`'s, so tiled and untiled
-/// iterates are bitwise identical.
+/// Tile `tb` of the fused Chebyshev step
+///   w = A·dir;  res −= w;  dir = α·dir + β·M⁻¹·res;  acc += dir
+/// (local preconditioners only): computes w for all rows of the tile and
+/// applies as much of the update in-pass as the stencil dependences
+/// allow.  2-D stencils: the update runs row-lagged one row behind the
+/// stencil, with the first and last row of the block deferred (a
+/// neighbouring block's stencil still reads their pristine `dir`).  3-D
+/// stencils and assembled operators: the whole update defers.  After a
+/// team barrier, `cheby_step_tile_edges` finishes the deferred rows.
 void cheby_step_tile(Chunk& c, FieldId res, FieldId dir, FieldId acc,
                      double alpha, double beta, bool diag_precon,
                      const Bounds& bounds, const Bounds& tb);
@@ -243,16 +178,6 @@ void cheby_step_tile(Chunk& c, FieldId res, FieldId dir, FieldId acc,
 void cheby_step_tile_edges(Chunk& c, FieldId res, FieldId dir, FieldId acc,
                            double alpha, double beta, bool diag_precon,
                            const Bounds& bounds, const Bounds& tb);
-
-/// Rows of `tb` of the Jacobi save phase (r = u, including the ±1 halo
-/// columns; `tb` may include the ±1 halo rows/planes).
-void jacobi_save_rows(Chunk& c, const Bounds& tb);
-
-/// Rows of `tb` of the Jacobi update sweep (row_sums[ρ] = Σ|u_new −
-/// u_old| over row ρ).  Requires the save phase complete for all rows the
-/// tile's stencils read — in the tiled engine a team barrier sits between
-/// the phases.
-void jacobi_update_rows(Chunk& c, const Bounds& tb, double* row_sums);
 
 // ---- multigrid level cores (amg/) ---------------------------------------
 // The geometric multigrid hierarchy (amg/multigrid.cpp) runs on its own
@@ -323,17 +248,20 @@ void mg_prolong_row(const Field<double>& coarse_u, int cnx, int cny,
                     int cnz, Field<double>& fine_u, int fnx, int fny,
                     int fnz, int kf, int lf);
 
-/// Tile `tb` of the interior for the tiled Jacobi sweep's save phase.
-/// 2-D: CACHE-FUSED — saves the block's rows (r = u, extending to the
-/// −1/ny halo rows on the first/last block) with the update row-lagged
-/// one row behind, so the just-saved r rows are still in L2 when the
-/// stencil consumes them; rows tb.klo and tb.khi−1 stay un-updated.
+/// Tile `tb` of one Jacobi sweep (upstream tea_leaf_jacobi_solve_kernel):
+/// save u into r (the old iterate, halo columns included), then
+/// u = (u0 + ΣK·u_old(neighbours)) / diag, depositing the row partials of
+/// Σ|u_new − u_old| into `row_sums`.  2-D: CACHE-FUSED — saves the
+/// block's rows (r = u, extending to the −1/ny halo rows on the
+/// first/last block) with the update row-lagged one row behind, so the
+/// just-saved r rows are still in L2 when the stencil consumes them; rows
+/// tb.klo and tb.khi−1 stay un-updated.
 /// 3-D: saves the tile's rows plus the halo rows/planes its boundary
 /// position owns (k = −1/ny on the first/last k-block, plane −1/nz on the
 /// first/last plane); the update defers entirely, since adjacent planes'
 /// stencils read every saved row.  After a team barrier,
 /// `jacobi_tile_edges` finishes the deferred rows.  Per-cell arithmetic
-/// is jacobi_iterate's — bitwise identical for any tiling.
+/// is the same for any tiling — bitwise identical sweeps.
 void jacobi_tile(Chunk& c, const Bounds& tb, double* row_sums);
 
 /// Deferred updates of `jacobi_tile` for the same block decomposition:

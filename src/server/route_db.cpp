@@ -8,6 +8,18 @@
 
 namespace tealeaf {
 
+namespace {
+
+/// True when a route key carries a retired engine-tier segment ("fused"
+/// or "pipe").
+bool has_retired_engine_suffix(const std::string& route_key) {
+  const std::string padded = "/" + route_key + "/";
+  return padded.find("/fused/") != std::string::npos ||
+         padded.find("/pipe/") != std::string::npos;
+}
+
+}  // namespace
+
 RouteObservation& RouteDatabase::record(const std::string& shape,
                                         const std::string& route,
                                         double measured_seconds,
@@ -133,6 +145,14 @@ io::JsonValue RouteDatabase::to_json() const {
 
 RouteDatabase RouteDatabase::from_json(const io::JsonValue& doc) {
   const int version = static_cast<int>(doc.at("version").as_number());
+  if (version == 1) {
+    throw TeaError(
+        "route db: version 1 databases were timed on the retired "
+        "fused/pipelined engine tiers, so their evidence no longer "
+        "describes any route — re-run the sweep (design_space_sweep "
+        "--route-db) to record a version " +
+        std::to_string(kVersion) + " database");
+  }
   TEA_REQUIRE(version == kVersion,
               "route db: unknown schema version " + std::to_string(version) +
                   " (this build reads version " + std::to_string(kVersion) +
@@ -140,6 +160,10 @@ RouteDatabase RouteDatabase::from_json(const io::JsonValue& doc) {
   RouteDatabase db;
   for (const auto& [shape, routes] : doc.at("shapes").members()) {
     for (const auto& [route, cell] : routes.members()) {
+      TEA_REQUIRE(!has_retired_engine_suffix(route),
+                  "route db: route '" + route + "' names a retired engine "
+                  "tier (/fused or /pipe); its timings no longer describe "
+                  "any route — re-run the sweep to record a fresh database");
       RouteObservation obs;
       obs.ewma_seconds = cell.at("ewma_seconds").as_number();
       obs.predicted_seconds = cell.at("predicted_seconds").as_number();

@@ -27,7 +27,7 @@ struct RouteObservation {
 };
 
 /// Persistent store of the online routing statistics, keyed by problem
-/// shape ("2d/n48/r2") then route ("cg/none/d1/fused") — the route key
+/// shape ("2d/n48/r2") then route ("cg/none/d1/b32") — the route key
 /// deliberately excludes the mesh size (shape carries it) and includes
 /// the precision, so fp32/mixed evidence can never leak into a double
 /// route's cell.  Serialises as versioned JSON; `merge` folds another
@@ -42,7 +42,11 @@ class RouteDatabase {
  public:
   /// Schema version of the JSON form; load() rejects files whose version
   /// it does not understand instead of guessing at their fields.
-  static constexpr int kVersion = 1;
+  /// Version 2 dropped the retired fused/pipelined engine tiers: a
+  /// version 1 file (or a route key carrying "/fused" or "/pipe") was
+  /// timed on engines that no longer exist and is rejected with a
+  /// re-run-the-sweep error, never silently re-ranked.
+  static constexpr int kVersion = 2;
 
   /// Fold one measured latency into (shape, route): EWMA update with
   /// weight `alpha` on the new sample (first sample initialises), count

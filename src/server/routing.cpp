@@ -16,9 +16,7 @@ namespace {
 
 /// Shared tail of label() and route_key(): every axis past the mesh size.
 void append_axis_suffixes(std::ostringstream& os, const RouteEntry& e) {
-  if (e.config.fuse_kernels) os << "/fused";
-  if (e.config.tile_rows != 0) os << "/b" << e.config.tile_rows;
-  if (e.config.pipeline) os << "/pipe";
+  if (e.config.tile_rows >= 0) os << "/b" << e.config.tile_rows;
   if (e.dims == 3) os << "/3d";
   if (e.config.op != OperatorKind::kStencil) {
     os << "/" << to_string(e.config.op);
@@ -57,13 +55,10 @@ RouteEntry RouteEntry::validated() const {
       throw TeaError("route " + label() +
                      ": matrix-powers halo depth applies to PPCG only");
     }
-    if (config.tile_rows != 0) {
+    if (config.tile_rows > 0) {
       throw TeaError("route " + label() +
-                     ": mg-pcg's fused path does not row-tile");
-    }
-    if (config.pipeline) {
-      throw TeaError("route " + label() +
-                     ": mg-pcg's fused path does not pipeline");
+                     ": mg-pcg's multigrid row loops do not row-tile — did "
+                     "you mean tile_rows = -1 (auto)?");
     }
     if (config.op != OperatorKind::kStencil) {
       throw TeaError("route " + label() +
@@ -97,9 +92,7 @@ RoutingTable RoutingTable::from_sweep(const SweepReport& report) {
     }
     mc.entry.config.precon = cell.config.precon;
     mc.entry.config.halo_depth = cell.config.halo_depth;
-    mc.entry.config.fuse_kernels = cell.config.fused;
     mc.entry.config.tile_rows = cell.config.tile_rows;
-    mc.entry.config.pipeline = cell.config.pipeline;
     mc.entry.config.op = operator_kind_from_string(cell.config.op);
     mc.entry.config.precision = precision_from_string(cell.config.precision);
     mc.entry.threads = cell.config.threads;

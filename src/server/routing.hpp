@@ -36,13 +36,14 @@ struct ObserveOutcome {
 
 /// One routable configuration: a sweep cell that converged, reduced to
 /// what the server needs to reproduce it — solver × preconditioner ×
-/// matrix-powers depth × execution engine (fused/tile_rows), plus the
-/// evidence (measured or model-projected seconds) that ranked it.
+/// matrix-powers depth × tile height × geometry × operator × precision,
+/// plus the evidence (measured or model-projected seconds) that ranked
+/// it.
 struct RouteEntry {
   /// "jacobi" | "cg" | "chebyshev" | "ppcg" | "mg-pcg".  For the four
   /// native solvers `config.type` agrees with this; "mg-pcg" is the
   /// undecomposed multigrid baseline, which is not a SolverConfig type —
-  /// `config` then carries only eps/max_iters/fuse_kernels.
+  /// `config` then carries only eps/max_iters.
   std::string solver;
   SolverConfig config;
   int threads = 0;      ///< thread count the cell was measured with
@@ -63,18 +64,19 @@ struct RouteEntry {
   [[nodiscard]] bool native() const { return solver != "mg-pcg"; }
 
   /// Compact identifier in the sweep's label style, e.g.
-  /// "ppcg/jac_diag/d4/n512/fused" ("~" prefix when model-projected).
+  /// "ppcg/jac_diag/d4/n512/b32" ("~" prefix when model-projected; the
+  /// "/b<rows>" tile suffix is omitted at the auto default).
   [[nodiscard]] std::string label() const;
 
   /// Database key for this route: label() minus the mesh size (the shape
   /// key carries it) and minus the "~" projection marker, e.g.
-  /// "ppcg/jac_diag/d4/fused".  Includes the precision suffix, so fp32 /
+  /// "ppcg/jac_diag/d4/b32".  Includes the precision suffix, so fp32 /
   /// mixed evidence lives in its own cell.
   [[nodiscard]] std::string route_key() const;
 
   /// Construction-time misuse check, mirroring the sweep's skip rules:
   /// config.validated() plus the mg-pcg constraints (no preconditioner,
-  /// depth 1, no row tiling).  Returns *this.
+  /// depth 1, no explicit tile height).  Returns *this.
   [[nodiscard]] RouteEntry validated() const;
 };
 

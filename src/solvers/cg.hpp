@@ -12,31 +12,24 @@ namespace tealeaf {
 /// selected; z = M⁻¹r; p = z (or r).  Returns rro = ⟨r, M⁻¹r⟩ (one global
 /// reduction).  Upstream: tea_leaf_cg_init_kernel.
 ///
-/// team == nullptr (the default) runs the standalone collectives; with a
-/// Team the same sequence workshares inside the caller's hoisted region
-/// (every thread returns the identical rank-ordered sum) — this is the
-/// form the team-injected solves and the batch engine use.
-double cg_setup(SimCluster2D& cl, PreconType precon,
-                const Team* team = nullptr);
+/// Workshares on `team` inside the caller's parallel region; every
+/// thread returns the identical rank-ordered sum.
+double cg_setup(SimCluster2D& cl, PreconType precon, const Team& team);
 
-/// One CG iteration (upstream tea_leaf_cg_calc_* kernels):
+/// One CG iteration (upstream tea_leaf_cg_calc_* kernels), row-blocked at
+/// `tile_rows` (<= 0: one block per rank):
 ///   exchange(p,1); w = A·p; pw = ⟨p,w⟩;  α = rro/pw
 ///   u += α·p; r −= α·w; z = M⁻¹r; rrn = ⟨r,z⟩;  β = rrn/rro;  p = z + β·p
-/// Two global reductions.  Appends (α, β) to `rec` when non-null (used by
-/// the Chebyshev/PPCG eigenvalue presteps).  Returns rrn.
+/// Two global reductions.  Appends (α, β) to `rec` when non-null (the
+/// Chebyshev/PPCG eigenvalue presteps; per-thread storage — the appended
+/// values are identical on every thread).  Returns rrn.
 ///
-/// A numerical breakdown (⟨p, A·p⟩ <= 0 or NaN) is reported through
-/// `breakdown` when supplied — the iteration leaves u/r untouched and
-/// returns rro — so sweep-driven solves can record the failure and
-/// continue; with breakdown == nullptr it throws TeaError instead.
-///
-/// Team-aware like cg_setup.  Callers running inside a region MUST pass
-/// `breakdown` (an exception crossing the region boundary would terminate
-/// the process) and per-thread `rec` storage; the appended (α, β) are
-/// identical on every thread.
-double cg_iteration(SimCluster2D& cl, PreconType precon, double rro,
-                    CGRecurrence* rec, bool* breakdown = nullptr,
-                    const Team* team = nullptr);
+/// A numerical breakdown (⟨p, A·p⟩ <= 0 or NaN) sets `breakdown` — the
+/// iteration leaves u/r untouched and returns rro.  The value is
+/// identical on every thread, so the caller's branch on it is uniform.
+double cg_iteration(SimCluster2D& cl, PreconType precon, int tile_rows,
+                    double rro, CGRecurrence* rec, bool& breakdown,
+                    const Team& team);
 
 /// The standard conjugate-gradient solver (paper §III-A): the baseline
 /// whose strong-scaling is limited by the two global dot products per
@@ -47,25 +40,19 @@ class CGSolver {
   /// declared when √|⟨r,M⁻¹r⟩| falls below eps × its initial value.
   /// With cfg.fuse_cg_reductions the Chronopoulos-Gear recurrence is
   /// used instead: one fused allreduce per iteration (paper §VII).
-  /// With cfg.fuse_kernels either recurrence runs through the fused
-  /// execution engine — the whole solve inside one hoisted parallel
-  /// region with single-pass kernels — with bitwise-identical numerics.
-  static SolveStats solve(SimCluster2D& cl, const SolverConfig& cfg);
-
-  /// Team-injected fused solve: the ENTIRE solve runs on `team` inside
-  /// the caller's already-open parallel region.  Every thread of the
-  /// team must call this with identical arguments; all loop-control
-  /// scalars derive from rank-ordered team reductions, so control flow
-  /// is uniform and the returned stats are identical on every thread
-  /// (up to each thread's own wall-clock).  `team` may be a sub-team —
-  /// the batch engine runs one request per sub-team concurrently.
-  /// cfg must be pre-validated (validation throws; regions cannot).
-  /// Honours cfg.fuse_cg_reductions (Chronopoulos-Gear vs classic).
+  ///
+  /// The ENTIRE solve runs on `team` inside the caller's already-open
+  /// parallel region.  Every thread of the team must call this with
+  /// identical arguments; all loop-control scalars derive from
+  /// rank-ordered team reductions, so control flow is uniform and the
+  /// returned stats are identical on every thread (up to each thread's
+  /// own wall-clock).  `team` may be a sub-team — the batch engine runs
+  /// one request per sub-team concurrently.  cfg must be pre-validated
+  /// (validation throws; regions cannot).
   static SolveStats solve_team(SimCluster2D& cl, const SolverConfig& cfg,
                                const Team& team);
 
  private:
-  static SolveStats solve_fused(SimCluster2D& cl, const SolverConfig& cfg);
   static SolveStats solve_team_chrono(SimCluster2D& cl,
                                       const SolverConfig& cfg,
                                       const Team& team);

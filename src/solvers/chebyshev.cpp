@@ -15,10 +15,9 @@ namespace tealeaf {
 namespace {
 
 /// dir = M⁻¹·r / θ on every chunk, then u += dir (the recurrence
-/// bootstrap).  Handles all three preconditioner kinds.  Team-aware like
-/// the solver collectives (nullptr = standalone).
+/// bootstrap).  Handles all three preconditioner kinds.
 void cheby_bootstrap(SimCluster2D& cl, PreconType precon, double theta,
-                     const Team* team) {
+                     const Team& team) {
   cl.for_each_chunk(team, [&](int, Chunk2D& c) {
     const Bounds in = interior_bounds(c);
     if (precon == PreconType::kJacobiBlock) {
@@ -33,129 +32,72 @@ void cheby_bootstrap(SimCluster2D& cl, PreconType precon, double theta,
   });
 }
 
-/// One Chebyshev iteration: r −= A·p; p = α·p + β·M⁻¹·r; u += p.
-/// Standalone unfused form (one region per kernel).
-void cheby_iteration(SimCluster2D& cl, PreconType precon, double alpha,
-                     double beta) {
-  cl.exchange({FieldId::kP}, 1);
-  cl.for_each_chunk([&](int, Chunk2D& c) {
-    const Bounds in = interior_bounds(c);
-    kernels::smvp(c, FieldId::kP, FieldId::kW, in);
-    if (precon == PreconType::kJacobiBlock) {
+/// One Chebyshev iteration: r −= A·p; p = α·p + β·M⁻¹·r; u += p — and on
+/// check iterations the team ‖r‖² reduction, whose return value is
+/// identical on every thread.  Local preconditioners run the row-blocked
+/// step: stencil passes with in-block row lagging, a barrier, then the
+/// deferred block-edge updates (see kernels::cheby_step_tile).
+/// Block-Jacobi's strip solve couples rows, so that composition runs per
+/// rank.
+double cheby_iteration(SimCluster2D& cl, PreconType precon, double alpha,
+                       double beta, bool check, int tile_rows,
+                       const Team& t) {
+  const bool diag = (precon == PreconType::kJacobiDiag);
+  const auto interior = [](int, Chunk2D& c) { return interior_bounds(c); };
+  cl.exchange(&t, {FieldId::kP}, 1);
+  if (precon == PreconType::kJacobiBlock) {
+    cl.for_each_chunk(t, [&](int, Chunk2D& c) {
+      const Bounds in = interior_bounds(c);
+      kernels::smvp(c, FieldId::kP, FieldId::kW, in);
       kernels::axpy(c, FieldId::kR, -1.0, FieldId::kW, in);
       kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
       kernels::axpby(c, FieldId::kP, alpha, beta, FieldId::kZ, in);
       kernels::axpy(c, FieldId::kU, 1.0, FieldId::kP, in);
-    } else {
-      kernels::cheby_fused_update(c, FieldId::kR, FieldId::kP, FieldId::kU,
-                                  alpha, beta,
-                                  precon == PreconType::kJacobiDiag, in);
-    }
-  });
-}
-
-/// The same iteration on the caller's team (the fused execution engine):
-/// team exchange, the single-pass cheby_step (or the block-Jacobi
-/// composition) and — on check iterations — the team ‖r‖² reduction,
-/// whose return value is identical on every thread.  Bitwise identical
-/// to cheby_iteration.
-///
-/// With tile_rows > 0 the step runs through the tiled engine instead:
-/// row-blocked stencil passes with in-block row lagging, a barrier, then
-/// the deferred block-edge updates — still bitwise identical (same
-/// per-cell arithmetic; see kernels::cheby_step_tile).  Block-Jacobi's
-/// strip solve couples rows, so that composition stays per-rank.
-/// With `pipeline` the iterate runs as a ONE-stage chain of the pipelined
-/// engine: the barrier between the stencil pass and the deferred edge
-/// updates becomes per-block tick waits, and on check iterations the
-/// residual's per-row dot partials deposit right inside the edge pass —
-/// block b's rows are final the moment its edge pass ran, so the ‖r‖²
-/// sweep costs no extra pass and no extra barrier (the row/rank-ordered
-/// combine keeps the value bitwise identical).  Block-Jacobi's strip
-/// solve couples rows, so that composition runs the per-rank path.
-double cheby_iteration_team(SimCluster2D& cl, PreconType precon, double alpha,
-                            double beta, bool check, int tile_rows,
-                            bool pipeline, const Team& t) {
-  const bool diag = (precon == PreconType::kJacobiDiag);
-  const int tile = (precon == PreconType::kJacobiBlock) ? 0 : tile_rows;
-  const bool pipe = pipeline && precon != PreconType::kJacobiBlock;
-  const auto interior = [](int, Chunk2D& c) { return interior_bounds(c); };
-  cl.exchange(&t, {FieldId::kP}, 1);
-  if (pipe) {
-    cl.run_pipeline_chain(
-        &t, tile, /*stages=*/1, interior,
-        [&](int, Chunk2D& c, int, const Bounds& tb) {
-          kernels::cheby_step_tile(c, FieldId::kR, FieldId::kP, FieldId::kU,
-                                   alpha, beta, diag, interior_bounds(c), tb);
-        },
-        [&](int, Chunk2D& c, int, const Bounds& tb) {
-          kernels::cheby_step_tile_edges(c, FieldId::kR, FieldId::kP,
-                                         FieldId::kU, alpha, beta, diag,
-                                         interior_bounds(c), tb);
-          if (check) {
-            kernels::dot_rows(c, FieldId::kR, FieldId::kR, tb,
-                              c.row_scratch());
-          }
-        });
-    if (!check) return 0.0;
-    return cl.combine_row_partials(&t);
-  }
-  if (tile > 0) {
-    cl.for_each_tile(&t, tile, interior,
+    });
+  } else {
+    cl.for_each_tile(t, tile_rows, interior,
                      [&](int, Chunk2D& c, const Bounds& tb) {
                        kernels::cheby_step_tile(
                            c, FieldId::kR, FieldId::kP, FieldId::kU, alpha,
                            beta, diag, interior_bounds(c), tb);
                      });
     t.barrier();  // edge rows must see every block's stencil pass done
-    cl.for_each_tile(&t, tile, interior,
+    cl.for_each_tile(t, tile_rows, interior,
                      [&](int, Chunk2D& c, const Bounds& tb) {
                        kernels::cheby_step_tile_edges(
                            c, FieldId::kR, FieldId::kP, FieldId::kU, alpha,
                            beta, diag, interior_bounds(c), tb);
                      });
-  } else {
-    cl.for_each_chunk(&t, [&](int, Chunk2D& c) {
-      const Bounds in = interior_bounds(c);
-      if (precon == PreconType::kJacobiBlock) {
-        kernels::smvp(c, FieldId::kP, FieldId::kW, in);
-        kernels::axpy(c, FieldId::kR, -1.0, FieldId::kW, in);
-        kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
-        kernels::axpby(c, FieldId::kP, alpha, beta, FieldId::kZ, in);
-        kernels::axpy(c, FieldId::kU, 1.0, FieldId::kP, in);
-      } else {
-        kernels::cheby_step(c, FieldId::kR, FieldId::kP, FieldId::kU, alpha,
-                            beta, diag, in);
-      }
-    });
   }
   if (!check) return 0.0;
-  return tile > 0 ? cl.sum_rows_over_chunks(
-                        &t, tile,
-                        [](int, Chunk2D& c, const Bounds& tb) {
-                          kernels::dot_rows(c, FieldId::kR, FieldId::kR, tb,
-                                            c.row_scratch());
-                        })
-                  : cl.sum_over_chunks(&t, [](int, const Chunk2D& c) {
-                      return kernels::norm2_sq(c, FieldId::kR);
-                    });
+  return cl.sum_rows_over_chunks(t, tile_rows,
+                                 [](int, Chunk2D& c, const Bounds& tb) {
+                                   kernels::dot_rows(c, FieldId::kR,
+                                                     FieldId::kR, tb,
+                                                     c.row_scratch());
+                                 });
 }
 
 }  // namespace
 
 SolveStats ChebyshevSolver::solve_team(SimCluster2D& cl,
                                        const SolverConfig& cfg,
-                                       const Team* team) {
+                                       const Team& team) {
   Timer timer;
   SolveStats st;
+  const auto finish = [&](double rr) {
+    st.final_norm = std::sqrt(std::fabs(rr));
+    st.solve_seconds = timer.elapsed_s();
+    return st;
+  };
 
   double rro = cg_setup(cl, cfg.precon, team);
   ++st.spmv_applies;
   st.initial_norm = std::sqrt(std::fabs(rro));
+  if (st.break_on_nonfinite(rro, "Chebyshev")) return finish(rro);
   if (st.initial_norm == 0.0) {
     st.converged = true;
-    st.solve_seconds = timer.elapsed_s();
-    return st;
+    return finish(0.0);
   }
 
   // True 2-norm of the initial residual: the Chebyshev phase converges on
@@ -180,26 +122,26 @@ SolveStats ChebyshevSolver::solve_team(SimCluster2D& cl,
     for (int i = 0;
          i < cfg.eigen_cg_iters && st.outer_iters + i < cfg.max_iters; ++i) {
       bool broke = false;
-      rro = cg_iteration(cl, cfg.precon, rro, &rec, &broke, team);
+      rro = cg_iteration(cl, cfg.precon, cfg.tile_rows, rro, &rec, broke,
+                         team);
       ++st.spmv_applies;
       if (broke) {
         st.breakdown = true;
         st.breakdown_reason = "Chebyshev prestep breakdown: ⟨p, A·p⟩ <= 0";
         st.outer_iters = st.eigen_cg_iters;
-        st.final_norm = std::sqrt(std::fabs(rro));
-        st.solve_seconds = timer.elapsed_s();
-        return st;
+        return finish(rro);
       }
       ++st.eigen_cg_iters;
       if (std::sqrt(std::fabs(rro)) <= cg_target) {
         // Converged before Chebyshev even started.
         st.outer_iters = st.eigen_cg_iters;
         st.converged = true;
-        st.final_norm = std::sqrt(std::fabs(rro));
-        st.solve_seconds = timer.elapsed_s();
-        return st;
+        return finish(rro);
       }
     }
+    // The bootstrap rewrites p per rank: order it against the presteps'
+    // row-blocked direction update.
+    team.barrier();
     est = estimate_eigenvalues(rec, cfg.eig_safety_lo, cfg.eig_safety_hi);
   }
   st.eigmin = est.eigmin;
@@ -213,21 +155,13 @@ SolveStats ChebyshevSolver::solve_team(SimCluster2D& cl,
   double rr = bb_rr;
   while (st.eigen_cg_iters + step < cfg.max_iters) {
     const bool check = (step + 1) % cfg.cheby_check_interval == 0;
-    if (team != nullptr) {
-      const double rr_t = cheby_iteration_team(
-          cl, cfg.precon, cc.alphas[step], cc.betas[step], check,
-          cfg.tile_rows, cfg.pipeline, *team);
-      if (check) rr = rr_t;
-    } else {
-      cheby_iteration(cl, cfg.precon, cc.alphas[step], cc.betas[step]);
-      if (check) {
-        rr = cl.sum_over_chunks([](int, const Chunk2D& c) {
-          return kernels::norm2_sq(c, FieldId::kR);
-        });
-      }
-    }
+    const double rr_t =
+        cheby_iteration(cl, cfg.precon, cc.alphas[step], cc.betas[step],
+                        check, cfg.tile_rows, team);
+    if (check) rr = rr_t;
     ++step;
     ++st.spmv_applies;
+    if (check && st.break_on_nonfinite(rr, "Chebyshev")) break;
     if (check && std::sqrt(rr) <= target_rr) {
       st.converged = true;
       break;
@@ -236,24 +170,10 @@ SolveStats ChebyshevSolver::solve_team(SimCluster2D& cl,
   st.outer_iters = st.eigen_cg_iters + step;
   st.final_norm = std::sqrt(rr);
   st.solve_seconds = timer.elapsed_s();
-  if (!st.converged && (team == nullptr || team->thread_id() == 0)) {
+  if (!st.converged && !st.breakdown && team.thread_id() == 0) {
     log::warn() << "Chebyshev hit max_iters with ‖r‖ = " << st.final_norm;
   }
   return st;
-}
-
-SolveStats ChebyshevSolver::solve(SimCluster2D& cl,
-                                  const SolverConfig& cfg) {
-  cfg.validate();
-  if (cfg.fuse_kernels) {
-    SolveStats out;
-    parallel_region([&](Team& t) {
-      const SolveStats st = solve_team(cl, cfg, &t);
-      t.single([&] { out = st; });
-    });
-    return out;
-  }
-  return solve_team(cl, cfg, nullptr);
 }
 
 }  // namespace tealeaf

@@ -13,17 +13,14 @@ namespace tealeaf {
 /// `cheby_check_interval` iterations.
 class ChebyshevSolver {
  public:
-  static SolveStats solve(SimCluster2D& cl, const SolverConfig& cfg);
-
-  /// Nullable-team form: with a Team the ENTIRE solve — presteps,
-  /// bootstrap and recurrence — runs fused on the caller's already-open
-  /// parallel region (see CGSolver::solve_team for the contract); with
-  /// team == nullptr it runs the standalone unfused path.  Honours
-  /// cfg.eig_hint_min/max: when set, the CG presteps are skipped and the
-  /// polynomial is built directly on the hinted interval (the session
-  /// cache's amortisation path).
+  /// Solve A·u = u0 in place; the ENTIRE solve — presteps, bootstrap and
+  /// recurrence — runs on `team` inside the caller's already-open
+  /// parallel region (see CGSolver::solve_team for the contract).
+  /// Honours cfg.eig_hint_min/max: when set, the CG presteps are skipped
+  /// and the polynomial is built directly on the hinted interval (the
+  /// session cache's amortisation path).
   static SolveStats solve_team(SimCluster2D& cl, const SolverConfig& cfg,
-                               const Team* team);
+                               const Team& team);
 };
 
 }  // namespace tealeaf

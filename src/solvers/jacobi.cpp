@@ -9,60 +9,35 @@ namespace tealeaf {
 
 SolveStats JacobiSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
                                     const Team& team) {
-  // The fused execution engine's Jacobi: the whole solve inside the
-  // caller's ONE region, with the optional tiled two-phase sweep (save
-  // rows, barrier, update rows) when cfg.tile_rows > 0.  All loop-control
+  // Each sweep is a two-phase row-blocked pass: every block runs
+  // jacobi_tile (2-D: cache-fused save with the update row-lagged one row
+  // behind; 3-D: save-only, since adjacent planes' stencils — other tiles
+  // — read every saved row), a barrier, then jacobi_tile_edges finishes
+  // the deferred rows.  Both passes — which MUST share one tile
+  // decomposition, since the edge pass finishes exactly the rows the
+  // first deferred — deposit per-row error partials into the chunk's row
+  // scratch, and combine_row_partials reduces them.  All loop-control
   // state is computed identically on every thread (team reductions are
   // rank/row-ordered), so the sweep loop and its early exits are uniform
   // across the team.
   Timer timer;
   SolveStats st;
   const int tile = cfg.tile_rows;
-  const bool pipeline = cfg.pipeline;
-
-  // Tiled two-phase sweep: each block runs jacobi_tile (2-D: cache-fused
-  // save with the update row-lagged one row behind; 3-D: save-only, since
-  // adjacent planes' stencils — other tiles — read every saved row), a
-  // barrier, then jacobi_tile_edges finishes the deferred rows.  Both
-  // passes — which MUST share one tile decomposition, since the edge pass
-  // finishes exactly the rows the first deferred — deposit per-row error
-  // partials into the chunk's row scratch, and combine_row_partials
-  // reduces them.
-  //
-  // The pipelined engine runs the same save+update pair as ONE chain:
-  // the team barrier between the phases becomes per-block tick waits, so
-  // a block's deferred rows update as soon as its neighbours' saves are
-  // done — in 3-D, plane l−1 updates while the saves sweep plane l+1.
   const auto interior = [](int, Chunk2D& c) { return interior_bounds(c); };
-  const auto tile_body = [](int, Chunk2D& c, const Bounds& tb) {
-    kernels::jacobi_tile(c, tb, c.row_scratch());
-  };
-  const auto edge_body = [](int, Chunk2D& c, const Bounds& tb) {
-    kernels::jacobi_tile_edges(c, tb, c.row_scratch());
-  };
 
   double initial_err = 0.0;
   while (st.outer_iters < cfg.max_iters) {
     cl.exchange(&team, {FieldId::kU}, 1);
-    double err;
-    if (pipeline) {
-      cl.run_pipeline_chain(&team, tile, /*stages=*/1, interior,
-                            [&](int r, Chunk2D& c, int, const Bounds& tb) {
-                              tile_body(r, c, tb);
-                            },
-                            [&](int r, Chunk2D& c, int, const Bounds& tb) {
-                              edge_body(r, c, tb);
-                            });
-      err = cl.combine_row_partials(&team);
-    } else if (tile > 0) {
-      cl.for_each_tile(&team, tile, interior, tile_body);
-      team.barrier();  // edge rows read every block's saved rows
-      cl.for_each_tile(&team, tile, interior, edge_body);
-      err = cl.combine_row_partials(&team);
-    } else {
-      err = cl.sum_over_chunks(
-          &team, [](int, Chunk2D& c) { return kernels::jacobi_iterate(c); });
-    }
+    cl.for_each_tile(team, tile, interior,
+                     [](int, Chunk2D& c, const Bounds& tb) {
+                       kernels::jacobi_tile(c, tb, c.row_scratch());
+                     });
+    team.barrier();  // edge rows read every block's saved rows
+    cl.for_each_tile(team, tile, interior,
+                     [](int, Chunk2D& c, const Bounds& tb) {
+                       kernels::jacobi_tile_edges(c, tb, c.row_scratch());
+                     });
+    const double err = cl.combine_row_partials(team);
     ++st.outer_iters;
     ++st.spmv_applies;  // one operator-equivalent sweep
     if (st.outer_iters == 1) {
@@ -74,44 +49,7 @@ SolveStats JacobiSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
       }
     }
     st.final_norm = err;
-    if (err <= cfg.eps * initial_err) {
-      st.converged = true;
-      break;
-    }
-  }
-  st.solve_seconds = timer.elapsed_s();
-  return st;
-}
-
-SolveStats JacobiSolver::solve(SimCluster2D& cl, const SolverConfig& cfg) {
-  cfg.validate();
-  if (cfg.fuse_kernels) {
-    SolveStats out;
-    parallel_region([&](Team& t) {
-      const SolveStats st = solve_team(cl, cfg, t);
-      t.single([&] { out = st; });
-    });
-    return out;
-  }
-  Timer timer;
-  SolveStats st;
-
-  double initial_err = 0.0;
-  while (st.outer_iters < cfg.max_iters) {
-    cl.exchange({FieldId::kU}, 1);
-    const double err = cl.sum_over_chunks(
-        [](int, Chunk2D& c) { return kernels::jacobi_iterate(c); });
-    ++st.outer_iters;
-    ++st.spmv_applies;  // one operator-equivalent sweep
-    if (st.outer_iters == 1) {
-      initial_err = err;
-      st.initial_norm = err;
-      if (err == 0.0) {
-        st.converged = true;
-        break;
-      }
-    }
-    st.final_norm = err;
+    if (st.break_on_nonfinite(err, "Jacobi")) break;
     if (err <= cfg.eps * initial_err) {
       st.converged = true;
       break;

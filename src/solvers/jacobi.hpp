@@ -11,13 +11,9 @@ namespace tealeaf {
 /// embarrassingly parallel — retained as the design-space anchor.
 class JacobiSolver {
  public:
-  static SolveStats solve(SimCluster2D& cl, const SolverConfig& cfg);
-
-  /// Team-injected fused solve: the ENTIRE solve runs on `team` inside
-  /// the caller's already-open parallel region (see CGSolver::solve_team
-  /// for the contract).  One region for the whole solve strictly reduces
-  /// fork/join versus the per-batch regions of the wrapper path, and the
-  /// iterates/iteration counts stay bitwise identical.
+  /// Solve A·u = u0 in place; the ENTIRE solve runs on `team` inside the
+  /// caller's already-open parallel region (see CGSolver::solve_team for
+  /// the contract).
   static SolveStats solve_team(SimCluster2D& cl, const SolverConfig& cfg,
                                const Team& team);
 };

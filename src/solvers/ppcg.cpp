@@ -1,6 +1,5 @@
 #include "solvers/ppcg.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "ops/kernels.hpp"
@@ -19,152 +18,57 @@ constexpr const char* kRzBreakdown =
     "PPCG breakdown: ⟨r, M⁻¹r⟩ <= 0 (indefinite polynomial preconditioner — "
     "eigenvalue estimates too tight?)";
 
-/// Intersection of a chain tile (cut from the widest stage's grid) with a
-/// later stage's shrunken bounds — the pipelined matrix-powers trapezoid.
-Bounds clip_tile(Bounds tb, const Bounds& sb) {
-  tb.jlo = std::max(tb.jlo, sb.jlo);
-  tb.jhi = std::min(tb.jhi, sb.jhi);
-  tb.klo = std::max(tb.klo, sb.klo);
-  tb.khi = std::min(tb.khi, sb.khi);
-  tb.llo = std::max(tb.llo, sb.llo);
-  tb.lhi = std::min(tb.lhi, sb.lhi);
-  return tb;
-}
-
-bool empty_tile(const Bounds& tb) {
-  return tb.jhi <= tb.jlo || tb.khi <= tb.klo || tb.lhi <= tb.llo;
-}
-
 }  // namespace
 
 void PPCGSolver::apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
                              const ChebyCoefs& cc, SolveStats* st,
-                             const Team* team) {
+                             const Team& team) {
   const int d = cfg.halo_depth;
+  const int tile = cfg.tile_rows;
   const bool diag = (cfg.precon == PreconType::kJacobiDiag);
   const bool block = (cfg.precon == PreconType::kJacobiBlock);
-  // With a Team the caller has already hoisted the parallel region and
-  // enabled the fused kernels; without one this is the seed's unfused
-  // path, region-per-kernel.  Row tiling (and with it 2-D scheduling) is
-  // a further layer of the fused engine; block-Jacobi's strip solve
-  // couples rows, so that composition never tiles (nor pipelines).  The
-  // pipelined engine (cfg.pipeline) goes one layer further still: the d
-  // Chebyshev steps between two matrix-powers exchanges become ONE
-  // trapezoidal chain — each row-block runs all d shrinking extended
-  // sweeps back-to-back, waiting on neighbouring blocks' progress ticks
-  // instead of at the per-step team barriers.
-  const bool fused = (team != nullptr);
-  const int tile = (fused && !block) ? cfg.tile_rows : 0;
-  const bool pipe = fused && !block && cfg.pipeline;
-  const bool blocked = (tile > 0) || pipe;
   TEA_ASSERT(!block || d == 1,
              "block-Jacobi with matrix powers rejected by validate()");
+  // Local preconditioners run every sweep row-blocked; block-Jacobi's
+  // strip solve couples rows, so its steps run per rank.
 
   // Inner residual starts as a copy of the outer residual.  For matrix
   // powers the first extended sweep needs it valid through the overlap,
   // which costs one depth-d exchange; at depth 1 no exchange is needed
   // because the bootstrap touches only the interior.
-  if (blocked) {
-    cl.for_each_tile(team, tile,
-                     [](int, Chunk2D& c) { return interior_bounds(c); },
-                     [](int, Chunk2D& c, const Bounds& tb) {
-                       kernels::copy(c, FieldId::kRtemp, FieldId::kR, tb);
-                     });
+  cl.for_each_tile(team, tile,
+                   [](int, Chunk2D& c) { return interior_bounds(c); },
+                   [](int, Chunk2D& c, const Bounds& tb) {
+                     kernels::copy(c, FieldId::kRtemp, FieldId::kR, tb);
+                   });
+  if (d > 1) {
+    cl.exchange(&team, {FieldId::kRtemp}, d);
   } else {
-    cl.for_each_chunk(team, [](int, Chunk2D& c) {
-      kernels::copy(c, FieldId::kRtemp, FieldId::kR, interior_bounds(c));
-    });
+    team.barrier();  // rtemp copy visible
   }
-  if (d > 1) cl.exchange(team, {FieldId::kRtemp}, d);
 
   // Bootstrap (the degree-0 term): sd = M⁻¹·rtemp/θ, z = sd, computed on
   // bounds extended d-1 cells so the following sweeps can shrink.
   int ext = d - 1;
-  if (team != nullptr && d == 1) team->barrier();  // rtemp copy visible
-  if (blocked) {
-    const auto boot_bounds = [ext](int, Chunk2D& c) {
-      return extended_bounds(c, ext);
-    };
-    cl.for_each_tile(team, tile, boot_bounds,
+  if (block) {
+    cl.for_each_chunk(team, [&](int, Chunk2D& c) {
+      const Bounds in = interior_bounds(c);
+      kernels::block_jacobi_solve(c, FieldId::kRtemp, FieldId::kW);
+      kernels::cheby_init_dir(c, FieldId::kW, FieldId::kSd, cc.theta,
+                              /*diag_precon=*/false, in);
+      kernels::copy(c, FieldId::kZ, FieldId::kSd, in);
+    });
+  } else {
+    cl.for_each_tile(team, tile,
+                     [ext](int, Chunk2D& c) {
+                       return extended_bounds(c, ext);
+                     },
                      [&](int, Chunk2D& c, const Bounds& tb) {
                        kernels::cheby_init_dir(c, FieldId::kRtemp,
                                                FieldId::kSd, cc.theta, diag,
                                                tb);
                        kernels::copy(c, FieldId::kZ, FieldId::kSd, tb);
                      });
-  } else {
-    cl.for_each_chunk(team, [&](int, Chunk2D& c) {
-      const Bounds b = extended_bounds(c, ext);
-      if (block) {
-        kernels::block_jacobi_solve(c, FieldId::kRtemp, FieldId::kW);
-        kernels::cheby_init_dir(c, FieldId::kW, FieldId::kSd, cc.theta,
-                                /*diag_precon=*/false, b);
-      } else {
-        kernels::cheby_init_dir(c, FieldId::kRtemp, FieldId::kSd, cc.theta,
-                                diag, b);
-      }
-      kernels::copy(c, FieldId::kZ, FieldId::kSd, b);
-    });
-  }
-
-  if (pipe) {
-    // Pipelined engine: every run of steps between two matrix-powers
-    // exchanges is ONE chain.  Stage s of a chain sweeps at extension
-    // ext0 − s; the tile grid is fixed on the chain's widest (first
-    // stage) bounds and each stage clips its tiles to its own shrunken
-    // box, so clipping — not re-gridding — realises the trapezoid.  The
-    // exchange cadence is exactly the barrier path's (same messages,
-    // same bytes); only the per-step team barriers disappear.
-    int step = 1;
-    while (step <= cfg.inner_steps) {
-      if (ext == 0) {
-        if (d == 1) {
-          cl.exchange(team, {FieldId::kSd}, 1);
-        } else {
-          cl.exchange(team, {FieldId::kSd, FieldId::kRtemp}, d);
-        }
-        ext = d;
-      }
-      const int stages = std::min(ext, cfg.inner_steps - step + 1);
-      const int ext0 = ext - 1;  // first stage's sweep extension
-      const int step0 = step;
-      const auto chain_bounds = [ext0](int, Chunk2D& c) {
-        return extended_bounds(c, ext0);
-      };
-      cl.run_pipeline_chain(
-          team, tile, stages, chain_bounds,
-          [&](int, Chunk2D& c, int s, const Bounds& tb) {
-            const Bounds sb = extended_bounds(c, ext0 - s);
-            const Bounds ctb = clip_tile(tb, sb);
-            if (empty_tile(ctb)) return;
-            kernels::cheby_step_tile(c, FieldId::kRtemp, FieldId::kSd,
-                                     FieldId::kZ,
-                                     cc.alphas[static_cast<std::size_t>(
-                                         step0 + s - 1)],
-                                     cc.betas[static_cast<std::size_t>(
-                                         step0 + s - 1)],
-                                     diag, sb, ctb);
-          },
-          [&](int, Chunk2D& c, int s, const Bounds& tb) {
-            const Bounds sb = extended_bounds(c, ext0 - s);
-            const Bounds ctb = clip_tile(tb, sb);
-            if (empty_tile(ctb)) return;
-            kernels::cheby_step_tile_edges(c, FieldId::kRtemp, FieldId::kSd,
-                                           FieldId::kZ,
-                                           cc.alphas[static_cast<std::size_t>(
-                                               step0 + s - 1)],
-                                           cc.betas[static_cast<std::size_t>(
-                                               step0 + s - 1)],
-                                           diag, sb, ctb);
-          });
-      step += stages;
-      ext -= stages;
-    }
-    if (st != nullptr) {
-      st->spmv_applies += cfg.inner_steps;
-      st->inner_steps += cfg.inner_steps;
-    }
-    return;
   }
 
   for (int step = 1; step <= cfg.inner_steps; ++step) {
@@ -173,56 +77,47 @@ void PPCGSolver::apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
       // 1 only sd travels (rtemp's halo is never read); deeper powers
       // also need the inner residual through the overlap.
       if (d == 1) {
-        cl.exchange(team, {FieldId::kSd}, 1);
+        cl.exchange(&team, {FieldId::kSd}, 1);
       } else {
-        cl.exchange(team, {FieldId::kSd, FieldId::kRtemp}, d);
+        cl.exchange(&team, {FieldId::kSd, FieldId::kRtemp}, d);
       }
       ext = d;
-    } else if (team != nullptr) {
+    } else {
       // No exchange this step: the redundant-overlap sweeps still read
       // one cell beyond their own block, so order against the previous
       // extended sweep explicitly.
-      team->barrier();
+      team.barrier();
     }
     --ext;
     const double alpha = cc.alphas[static_cast<std::size_t>(step - 1)];
     const double beta = cc.betas[static_cast<std::size_t>(step - 1)];
-    if (tile > 0) {
-      const auto step_bounds = [ext](int, Chunk2D& c) {
-        return extended_bounds(c, ext);
-      };
-      cl.for_each_tile(team, tile, step_bounds,
-                       [&](int, Chunk2D& c, const Bounds& tb) {
-                         kernels::cheby_step_tile(
-                             c, FieldId::kRtemp, FieldId::kSd, FieldId::kZ,
-                             alpha, beta, diag, extended_bounds(c, ext), tb);
-                       });
-      team->barrier();  // edge rows wait for every block's stencil pass
-      cl.for_each_tile(team, tile, step_bounds,
-                       [&](int, Chunk2D& c, const Bounds& tb) {
-                         kernels::cheby_step_tile_edges(
-                             c, FieldId::kRtemp, FieldId::kSd, FieldId::kZ,
-                             alpha, beta, diag, extended_bounds(c, ext), tb);
-                       });
-    } else {
+    if (block) {
       cl.for_each_chunk(team, [&](int, Chunk2D& c) {
-        const Bounds b = extended_bounds(c, ext);
-        if (block) {
-          kernels::smvp(c, FieldId::kSd, FieldId::kW, b);
-          kernels::axpy(c, FieldId::kRtemp, -1.0, FieldId::kW, b);
-          kernels::block_jacobi_solve(c, FieldId::kRtemp, FieldId::kW);
-          kernels::axpby(c, FieldId::kSd, alpha, beta, FieldId::kW, b);
-          kernels::axpy(c, FieldId::kZ, 1.0, FieldId::kSd, b);
-        } else if (fused) {
-          kernels::cheby_step(c, FieldId::kRtemp, FieldId::kSd, FieldId::kZ,
-                              alpha, beta, diag, b);
-        } else {
-          kernels::smvp(c, FieldId::kSd, FieldId::kW, b);
-          kernels::cheby_fused_update(c, FieldId::kRtemp, FieldId::kSd,
-                                      FieldId::kZ, alpha, beta, diag, b);
-        }
+        const Bounds in = interior_bounds(c);
+        kernels::smvp(c, FieldId::kSd, FieldId::kW, in);
+        kernels::axpy(c, FieldId::kRtemp, -1.0, FieldId::kW, in);
+        kernels::block_jacobi_solve(c, FieldId::kRtemp, FieldId::kW);
+        kernels::axpby(c, FieldId::kSd, alpha, beta, FieldId::kW, in);
+        kernels::axpy(c, FieldId::kZ, 1.0, FieldId::kSd, in);
       });
+      continue;
     }
+    const auto step_bounds = [ext](int, Chunk2D& c) {
+      return extended_bounds(c, ext);
+    };
+    cl.for_each_tile(team, tile, step_bounds,
+                     [&](int, Chunk2D& c, const Bounds& tb) {
+                       kernels::cheby_step_tile(
+                           c, FieldId::kRtemp, FieldId::kSd, FieldId::kZ,
+                           alpha, beta, diag, extended_bounds(c, ext), tb);
+                     });
+    team.barrier();  // edge rows wait for every block's stencil pass
+    cl.for_each_tile(team, tile, step_bounds,
+                     [&](int, Chunk2D& c, const Bounds& tb) {
+                       kernels::cheby_step_tile_edges(
+                           c, FieldId::kRtemp, FieldId::kSd, FieldId::kZ,
+                           alpha, beta, diag, extended_bounds(c, ext), tb);
+                     });
   }
   if (st != nullptr) {
     st->spmv_applies += cfg.inner_steps;
@@ -231,30 +126,30 @@ void PPCGSolver::apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
 }
 
 SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
-                                  const Team* team) {
+                                  const Team& team) {
   Timer timer;
   SolveStats st;
 
   double rro = cg_setup(cl, cfg.precon, team);
   ++st.spmv_applies;
   st.initial_norm = std::sqrt(std::fabs(rro));
+
+  const auto finish = [&](double metric) {
+    st.outer_iters += st.eigen_cg_iters;
+    st.final_norm = std::sqrt(std::fabs(metric));
+    st.solve_seconds = timer.elapsed_s();
+    if (!st.converged && !st.breakdown && team.thread_id() == 0) {
+      log::warn() << "PPCG hit max_iters with metric " << st.final_norm;
+    }
+    return st;
+  };
+  if (st.break_on_nonfinite(rro, "PPCG")) return finish(rro);
   if (st.initial_norm == 0.0) {
     st.converged = true;
     st.solve_seconds = timer.elapsed_s();
     return st;
   }
   const double target = cfg.eps * st.initial_norm;
-
-  const auto finish = [&](double metric) {
-    st.outer_iters += st.eigen_cg_iters;
-    st.final_norm = std::sqrt(std::fabs(metric));
-    st.solve_seconds = timer.elapsed_s();
-    if (!st.converged && !st.breakdown &&
-        (team == nullptr || team->thread_id() == 0)) {
-      log::warn() << "PPCG hit max_iters with metric " << st.final_norm;
-    }
-    return st;
-  };
 
   EigenEstimate est;
   if (cfg.has_eig_hints()) {
@@ -270,7 +165,8 @@ SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
     CGRecurrence rec;
     for (int i = 0; i < cfg.eigen_cg_iters; ++i) {
       bool broke = false;
-      rro = cg_iteration(cl, cfg.precon, rro, &rec, &broke, team);
+      rro = cg_iteration(cl, cfg.precon, cfg.tile_rows, rro, &rec, broke,
+                         team);
       ++st.spmv_applies;
       if (broke) {
         st.breakdown = true;
@@ -290,49 +186,28 @@ SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
   const ChebyCoefs cc =
       chebyshev_coefficients(est.eigmin, est.eigmax, cfg.inner_steps);
 
-  // One body serves both execution engines: team == nullptr runs the
-  // seed's standalone collectives (region per kernel); with a Team the
-  // same sequence workshares inside the caller's single hoisted region —
-  // row-blocked through the tiled engine when cfg.tile_rows > 0.  Every
-  // scalar below derives from rank/row-ordered team reductions, so its
-  // value — and every branch on it — is identical on every thread.
-  const int tile = (team != nullptr) ? cfg.tile_rows : 0;
-  // The pipelined engine's outer ops run the row-blocked forms even at
-  // tile_rows == 0: the chains of apply_inner end without an exit
-  // barrier, and the row-blocked collectives' entry barriers (plus the
-  // explicit one after cg_calc_ur) are what orders the outer ops against
-  // the chains' block schedule.  Bitwise identical either way.
-  const bool blocked = team != nullptr && (tile > 0 || cfg.pipeline);
+  // Every scalar below derives from rank/row-ordered team reductions, so
+  // its value — and every branch on it — is identical on every thread.
+  const int tile = cfg.tile_rows;
   const auto interior = [](int, Chunk2D& c) { return interior_bounds(c); };
-  /// ⟨r, z⟩ in both engines (row-blocked when tiled; identical value).
-  const auto dot_rz = [&](const Team* t) {
-    if (t != nullptr && blocked) {
-      return cl.sum_rows_over_chunks(
-          t, tile, [](int, Chunk2D& c, const Bounds& tb) {
-            kernels::dot_rows(c, FieldId::kR, FieldId::kZ, tb,
-                              c.row_scratch());
-          });
-    }
-    return cl.sum_over_chunks(t, [](int, const Chunk2D& c) {
-      return kernels::dot(c, FieldId::kR, FieldId::kZ);
-    });
+  const auto dot_rz = [&] {
+    return cl.sum_rows_over_chunks(
+        team, tile, [](int, Chunk2D& c, const Bounds& tb) {
+          kernels::dot_rows(c, FieldId::kR, FieldId::kZ, tb,
+                            c.row_scratch());
+        });
   };
 
   // --- restart the outer PCG with the polynomial preconditioner ---------
   apply_inner(cl, cfg, cc, nullptr, team);
-  rro = dot_rz(team);
-  if (team != nullptr && blocked) {
-    cl.for_each_tile(team, tile, interior,
-                     [](int, Chunk2D& c, const Bounds& tb) {
-                       kernels::copy(c, FieldId::kP, FieldId::kZ, tb);
-                     });
-  } else {
-    cl.for_each_chunk(team, [](int, Chunk2D& c) {
-      kernels::copy(c, FieldId::kP, FieldId::kZ, interior_bounds(c));
-    });
-  }
+  rro = dot_rz();
+  cl.for_each_tile(team, tile, interior,
+                   [](int, Chunk2D& c, const Bounds& tb) {
+                     kernels::copy(c, FieldId::kP, FieldId::kZ, tb);
+                   });
   st.spmv_applies += cfg.inner_steps;
   st.inner_steps += cfg.inner_steps;
+  if (st.break_on_nonfinite(rro, "PPCG")) return finish(rro);
   if (!(rro > 0.0)) {
     st.breakdown = true;
     st.breakdown_reason = kRzBreakdown;
@@ -341,24 +216,12 @@ SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
 
   double rrn = rro;
   while (st.eigen_cg_iters + st.outer_iters < cfg.max_iters) {
-    // With a Team this whole body runs in the caller's ONE hoisted
-    // region: p exchange, fused smvp+dot, u/r update, the inner
-    // Chebyshev application (including its matrix-powers exchanges)
-    // and both reductions.
-    cl.exchange(team, {FieldId::kP}, 1);
-    const double pw =
-        (team != nullptr && blocked)
-            ? cl.sum_rows_over_chunks(
-                  team, tile,
-                  [](int, Chunk2D& c, const Bounds& tb) {
-                    kernels::smvp_dot_rows(c, FieldId::kP, FieldId::kW,
-                                           interior_bounds(c), tb,
-                                           c.row_scratch());
-                  })
-            : cl.sum_over_chunks(team, [](int, Chunk2D& c) {
-                return kernels::smvp_dot(c, FieldId::kP, FieldId::kW,
-                                         interior_bounds(c));
-              });
+    cl.exchange(&team, {FieldId::kP}, 1);
+    const double pw = cl.sum_rows_over_chunks(
+        team, tile, [](int, Chunk2D& c, const Bounds& tb) {
+          kernels::smvp_dot_rows(c, FieldId::kP, FieldId::kW,
+                                 interior_bounds(c), tb, c.row_scratch());
+        });
     ++st.spmv_applies;
     // Uniform branch: every thread reduced the same rank-ordered sum.
     if (!(pw > 0.0)) {
@@ -367,39 +230,25 @@ SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
       return finish(rrn);
     }
     const double alpha = rro / pw;
-    if (team != nullptr && blocked) {
-      cl.for_each_tile(team, tile, interior,
-                       [&](int, Chunk2D& c, const Bounds& tb) {
-                         kernels::cg_calc_ur_rows(c, alpha, tb);
-                       });
-      // apply_inner's first pass copies r: order it against the
-      // row-blocked update (the 1-D fused path keeps the same
-      // rank→thread mapping, so only the tiled schedule needs this).
-      team->barrier();
-    } else {
-      cl.for_each_chunk(
-          team, [&](int, Chunk2D& c) { kernels::cg_calc_ur(c, alpha); });
-    }
+    cl.for_each_tile(team, tile, interior,
+                     [&](int, Chunk2D& c, const Bounds& tb) {
+                       kernels::cg_calc_ur_rows(c, alpha, tb);
+                     });
+    // apply_inner's first pass copies r: order it against the update.
+    team.barrier();
     apply_inner(cl, cfg, cc, nullptr, team);
-    const double rrn_t = dot_rz(team);
+    const double rrn_t = dot_rz();
     const double beta = rrn_t / rro;
-    if (team != nullptr && blocked) {
-      cl.for_each_tile(team, tile, interior,
-                       [&](int, Chunk2D& c, const Bounds& tb) {
-                         kernels::xpby(c, FieldId::kP, FieldId::kZ, beta,
-                                       tb);
-                       });
-    } else {
-      cl.for_each_chunk(team, [&](int, Chunk2D& c) {
-        kernels::xpby(c, FieldId::kP, FieldId::kZ, beta,
-                      interior_bounds(c));
-      });
-    }
+    cl.for_each_tile(team, tile, interior,
+                     [&](int, Chunk2D& c, const Bounds& tb) {
+                       kernels::xpby(c, FieldId::kP, FieldId::kZ, beta, tb);
+                     });
     st.spmv_applies += cfg.inner_steps;
     st.inner_steps += cfg.inner_steps;
     rrn = rrn_t;
     rro = rrn;
     ++st.outer_iters;
+    if (st.break_on_nonfinite(rrn, "PPCG")) break;
     if (std::sqrt(std::fabs(rrn)) <= target) {
       st.converged = true;
       break;
@@ -411,21 +260,6 @@ SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
     }
   }
   return finish(rrn);
-}
-
-SolveStats PPCGSolver::solve(SimCluster2D& cl, const SolverConfig& cfg) {
-  cfg.validate();
-  TEA_REQUIRE(cfg.halo_depth <= cl.halo_depth(),
-              "cluster halo allocation too shallow for matrix-powers depth");
-  if (cfg.fuse_kernels) {
-    SolveStats out;
-    parallel_region([&](Team& t) {
-      const SolveStats st = solve_team(cl, cfg, &t);
-      t.single([&] { out = st; });
-    });
-    return out;
-  }
-  return solve_team(cl, cfg, nullptr);
 }
 
 }  // namespace tealeaf

@@ -42,17 +42,31 @@ SolverConfig resolve(const SimCluster2D& cl, const SolverConfig& cfg,
   return resolved;
 }
 
-/// Dispatch one native solve at the chunks' CURRENT precision activation
-/// (the solvers are precision-oblivious: every field access and every
-/// operator traversal goes through the kernels' scalar dispatch).
-SolveStats dispatch_native(SimCluster2D& cl, const SolverConfig& resolved) {
+/// The solver's team form for a resolved, validated config.
+SolveStats solve_on_team(SimCluster2D& cl, const SolverConfig& resolved,
+                         const Team& team) {
   switch (resolved.type) {
-    case SolverType::kJacobi: return JacobiSolver::solve(cl, resolved);
-    case SolverType::kCG: return CGSolver::solve(cl, resolved);
-    case SolverType::kChebyshev: return ChebyshevSolver::solve(cl, resolved);
-    case SolverType::kPPCG: return PPCGSolver::solve(cl, resolved);
+    case SolverType::kJacobi:
+      return JacobiSolver::solve_team(cl, resolved, team);
+    case SolverType::kCG: return CGSolver::solve_team(cl, resolved, team);
+    case SolverType::kChebyshev:
+      return ChebyshevSolver::solve_team(cl, resolved, team);
+    case SolverType::kPPCG: return PPCGSolver::solve_team(cl, resolved, team);
   }
   TEA_ASSERT(false, "invalid solver type");
+}
+
+/// One native solve at the chunks' CURRENT precision activation (the
+/// solvers are precision-oblivious: every field access and every
+/// operator traversal goes through the kernels' scalar dispatch): ONE
+/// parallel region around the solver's team form.
+SolveStats dispatch_native(SimCluster2D& cl, const SolverConfig& resolved) {
+  SolveStats out;
+  parallel_region([&](Team& t) {
+    const SolveStats st = solve_on_team(cl, resolved, t);
+    t.single([&] { out = st; });
+  });
+  return out;
 }
 
 // ---- mixed-precision execution layer ------------------------------------
@@ -136,7 +150,8 @@ void accumulate_inner(SolveStats& agg, const SolveStats& inner) {
 /// and the solve's inputs, run the configured solver entirely over the
 /// fp32 bank (same eps; it may stall before a tight tolerance, which is
 /// recorded honestly for the sweep to price), upcast the iterate.
-SolveStats solve_single(SimCluster2D& cl, const SolverConfig& resolved) {
+SolveStats solve_single(SimCluster2D& cl, const SolverConfig& resolved,
+                        const NativeSolve& native) {
   build_fp32_operator(cl);
   cl.for_each_chunk([&](int, Chunk& c) {
     clear_fp32_workspace(c);
@@ -144,7 +159,7 @@ SolveStats solve_single(SimCluster2D& cl, const SolverConfig& resolved) {
     downcast_field(c, FieldId::kU0, FieldId::kU0);
   });
   set_fp32_active(cl, true);
-  SolveStats stats = dispatch_native(cl, resolved);
+  SolveStats stats = native(cl, resolved);
   set_fp32_active(cl, false);
   cl.for_each_chunk([&](int, Chunk& c) {
     Field<double>& u = c.u();
@@ -165,7 +180,8 @@ SolveStats solve_single(SimCluster2D& cl, const SolverConfig& resolved) {
 /// the fp64 residual meets the caller's eps relative to the INITIAL fp64
 /// residual — the same contract as a double solve — and reports
 /// breakdown when it stalls (the server answers that with a re-route).
-SolveStats solve_mixed(SimCluster2D& cl, const SolverConfig& resolved) {
+SolveStats solve_mixed(SimCluster2D& cl, const SolverConfig& resolved,
+                       const NativeSolve& native) {
   // The native solvers time their own iteration loops; the refinement
   // wrapper times the WHOLE mixed solve — inner solves, downcasts and the
   // fp64 guard residuals — so the sweep and bench price its true cost.
@@ -179,6 +195,11 @@ SolveStats solve_mixed(SimCluster2D& cl, const SolverConfig& resolved) {
   SolveStats stats;
   const double rr0 = fp64_true_residual(cl);
   stats.initial_norm = std::sqrt(std::fabs(rr0));
+  if (stats.break_on_nonfinite(rr0, "mixed")) {
+    stats.final_norm = stats.initial_norm;
+    stats.solve_seconds = timer.elapsed_s();
+    return stats;
+  }
   if (stats.initial_norm == 0.0) {
     stats.converged = true;
     return stats;
@@ -196,7 +217,7 @@ SolveStats solve_mixed(SimCluster2D& cl, const SolverConfig& resolved) {
       downcast_field(c, FieldId::kU0, FieldId::kR);
     });
     set_fp32_active(cl, true);
-    const SolveStats inner = dispatch_native(cl, inner_cfg);
+    const SolveStats inner = native(cl, inner_cfg);
     set_fp32_active(cl, false);
     accumulate_inner(stats, inner);
     stats.refine_steps = ref;
@@ -253,15 +274,23 @@ SolveStats solve_mixed(SimCluster2D& cl, const SolverConfig& resolved) {
 
 SolveStats run_solver(SimCluster2D& cl, const SolverConfig& cfg,
                       const MachineSpec& machine) {
-  const SolverConfig resolved = resolve(cl, cfg, machine);
-  SolveStats stats;
-  switch (resolved.precision) {
-    case Precision::kDouble: stats = dispatch_native(cl, resolved); break;
-    case Precision::kSingle: stats = solve_single(cl, resolved); break;
-    case Precision::kMixed: stats = solve_mixed(cl, resolved); break;
-  }
+  cfg.validate();
+  TEA_REQUIRE(cfg.halo_depth <= cl.halo_depth(),
+              "cluster halo allocation too shallow for matrix-powers depth");
+  SolveStats stats =
+      solve_at_precision(cl, resolve(cl, cfg, machine), dispatch_native);
   note_operator_fill(cl, stats);
   return stats;
+}
+
+SolveStats solve_at_precision(SimCluster2D& cl, const SolverConfig& cfg,
+                              const NativeSolve& native) {
+  switch (cfg.precision) {
+    case Precision::kDouble: return native(cl, cfg);
+    case Precision::kSingle: return solve_single(cl, cfg, native);
+    case Precision::kMixed: return solve_mixed(cl, cfg, native);
+  }
+  TEA_ASSERT(false, "invalid precision");
 }
 
 SolveStats run_solver_team(SimCluster2D& cl, const SolverConfig& cfg,
@@ -273,23 +302,7 @@ SolveStats run_solver_team(SimCluster2D& cl, const SolverConfig& cfg,
   TEA_REQUIRE(cfg.precision == Precision::kDouble,
               "run_solver_team is double-only; route single/mixed solves "
               "through run_solver");
-  const SolverConfig resolved = resolve(cl, cfg, machine);
-  SolveStats stats;
-  switch (resolved.type) {
-    case SolverType::kJacobi:
-      stats = JacobiSolver::solve_team(cl, resolved, team);
-      break;
-    case SolverType::kCG:
-      stats = CGSolver::solve_team(cl, resolved, team);
-      break;
-    case SolverType::kChebyshev:
-      stats = ChebyshevSolver::solve_team(cl, resolved, &team);
-      break;
-    case SolverType::kPPCG:
-      stats = PPCGSolver::solve_team(cl, resolved, &team);
-      break;
-    default: TEA_ASSERT(false, "invalid solver type");
-  }
+  SolveStats stats = solve_on_team(cl, resolve(cl, cfg, machine), team);
   note_operator_fill(cl, stats);
   return stats;
 }

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <functional>
+
 #include "comm/sim_comm.hpp"
 #include "model/machine.hpp"
 #include "solvers/solver_config.hpp"
@@ -15,14 +17,34 @@ namespace tealeaf {
 ///    exchange.
 /// Postcondition: u holds the converged solution on chunk interiors.
 ///
-/// tile_rows < 0 ("auto") is resolved here before dispatch, sizing the
-/// row-blocks from `machine`'s per-core L2 and the chunk width — pass the
-/// machine the run models (SolveSession and the sweep thread theirs
-/// through); the default is the same spruce_hybrid SweepOptions prices
-/// communication against.
+/// Every native solve runs the one execution engine: a single
+/// `parallel_region` around the solver's team form (single/mixed
+/// precision wrap one such region per fp32 inner solve).  tile_rows < 0
+/// ("auto") is resolved here first, sizing the row-blocks from
+/// `machine`'s per-core L2 and the chunk width — pass the machine the run
+/// models (SolveSession and the sweep thread theirs through); the
+/// default is the same spruce_hybrid SweepOptions prices communication
+/// against.  Throws TeaError on an invalid cfg or a cluster halo too
+/// shallow for cfg.halo_depth.
 [[nodiscard]] SolveStats run_solver(
     SimCluster2D& cl, const SolverConfig& cfg,
     const MachineSpec& machine = machines::spruce_hybrid());
+
+/// One native solve at the chunks' CURRENT precision activation: the unit
+/// the precision layer wraps.
+using NativeSolve =
+    std::function<SolveStats(SimCluster2D&, const SolverConfig&)>;
+
+/// The precision layer on its own: cfg.precision's storage orchestration
+/// around `native` — double: one call; single: downcast the operator and
+/// the solve's inputs, solve on the fp32 bank, upcast the iterate; mixed:
+/// fp64-guarded iterative refinement around fp32 inner solves.  cfg must
+/// be validated and its tile height resolved.  run_solver passes the
+/// execution engine; any other native solve (a reference implementation,
+/// say) runs under exactly the same orchestration.
+[[nodiscard]] SolveStats solve_at_precision(SimCluster2D& cl,
+                                            const SolverConfig& cfg,
+                                            const NativeSolve& native);
 
 /// Team-injected dispatch: the ENTIRE solve runs on `team` inside the
 /// caller's already-open parallel region.  Every thread of the team must
@@ -31,23 +53,10 @@ namespace tealeaf {
 /// — the solve-server's batch engine runs one request per sub-team,
 /// concurrently, inside ONE region.  cfg must be pre-validated and the
 /// cluster's halo deep enough for cfg.halo_depth (preconditions throw,
-/// and exceptions must not escape a parallel region).  Always executes
-/// through the fused engine — the only region-safe engine — which is
-/// bitwise identical to the unfused path.
+/// and exceptions must not escape a parallel region).  The same engine
+/// run_solver enters, so the results are bitwise identical to it.
 [[nodiscard]] SolveStats run_solver_team(
     SimCluster2D& cl, const SolverConfig& cfg, const Team& team,
     const MachineSpec& machine = machines::spruce_hybrid());
-
-/// Pre-PR6 entry point.  SolveSession (src/api/solve_api.hpp) is the
-/// supported way to run solves now — it owns the cluster set-up this
-/// function assumes the caller did by hand.  See README "Migrating to
-/// SolveSession".
-[[deprecated(
-    "use SolveSession::solve (src/api/solve_api.hpp) or run_solver; see "
-    "README 'Migrating to SolveSession'")]]
-[[nodiscard]] inline SolveStats solve_linear_system(SimCluster2D& cl,
-                                                    const SolverConfig& cfg) {
-  return run_solver(cl, cfg);
-}
 
 }  // namespace tealeaf

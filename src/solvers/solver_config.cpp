@@ -1,5 +1,7 @@
 #include "solvers/solver_config.hpp"
 
+#include <cmath>
+
 #include "util/error.hpp"
 
 namespace tealeaf {
@@ -51,13 +53,12 @@ std::size_t SweepSpec::num_cases() const {
   const std::size_t ops = operators.empty() ? 1 : operators.size();
   const std::size_t precs = precisions.empty() ? 1 : precisions.size();
   return solvers.size() * precons.size() * halo_depths.size() * meshes *
-         thread_counts.size() * fused.size() * tile_rows.size() *
-         pipeline.size() * geoms * ops * precs;
+         thread_counts.size() * tile_rows.size() * geoms * ops * precs;
 }
 
 void SweepSpec::validate() const {
   for (const std::string& name : solvers) {
-    if (name != "mg-pcg") solver_type_from_string(name);  // throws if unknown
+    if (name != "mg-pcg") (void)solver_type_from_string(name);  // validates
   }
   TEA_REQUIRE(!precons.empty(), "sweep: preconditioner axis must be non-empty");
   TEA_REQUIRE(!halo_depths.empty(), "sweep: halo-depth axis must be non-empty");
@@ -71,27 +72,20 @@ void SweepSpec::validate() const {
   for (const int t : thread_counts) {
     TEA_REQUIRE(t >= 0, "sweep: thread counts must be >= 0");
   }
-  TEA_REQUIRE(!fused.empty(), "sweep: fused axis must be non-empty");
-  for (const int f : fused) {
-    TEA_REQUIRE(f == 0 || f == 1, "sweep: fused axis values must be 0 or 1");
-  }
   TEA_REQUIRE(!tile_rows.empty(), "sweep: tile-rows axis must be non-empty");
   for (const int t : tile_rows) {
-    TEA_REQUIRE(t >= 0, "sweep: tile-rows values must be >= 0 (0 = untiled)");
-  }
-  TEA_REQUIRE(!pipeline.empty(), "sweep: pipeline axis must be non-empty");
-  for (const int p : pipeline) {
-    TEA_REQUIRE(p == 0 || p == 1,
-                "sweep: pipeline axis values must be 0 or 1");
+    TEA_REQUIRE(t >= -1,
+                "sweep: tile-rows values must be a row count, 0 (one block "
+                "per rank) or -1 (auto)");
   }
   for (const int d : geometries) {
     TEA_REQUIRE(d == 2 || d == 3, "sweep: geometry values must be 2d or 3d");
   }
   for (const std::string& o : operators) {
-    operator_kind_from_string(o);  // throws if unknown
+    (void)operator_kind_from_string(o);  // validates
   }
   for (const std::string& p : precisions) {
-    precision_from_string(p);  // throws if unknown
+    (void)precision_from_string(p);  // validates
   }
   TEA_REQUIRE(ranks >= 1, "sweep: need at least one simulated rank");
 }
@@ -126,7 +120,8 @@ void SolverConfig::validate() const {
                 "tl_operator = stencil for matrix-powers, or halo depth 1");
   }
   TEA_REQUIRE(tile_rows >= -1,
-              "tile_rows must be a row count, 0 (untiled) or -1 (auto)");
+              "tile_rows must be a row count, 0 (one block per rank) or -1 "
+              "(auto)");
   TEA_REQUIRE(eig_hint_min >= 0.0 && eig_hint_max >= 0.0,
               "eigenvalue hints must be non-negative (0 = unset)");
   if (eig_hint_min > 0.0 || eig_hint_max > 0.0) {
@@ -139,23 +134,6 @@ void SolverConfig::validate() const {
 
 SolverConfig SolverConfig::validated() const {
   validate();
-  if (tile_rows != 0 && !fuse_kernels) {
-    throw TeaError(
-        "tile_rows = " + std::to_string(tile_rows) +
-        " requests the tiled execution engine, but fuse_kernels is off — "
-        "row tiling is a layer of the fused engine and the unfused path "
-        "would silently measure the untiled sweeps.  Did you mean "
-        "tl_fuse_kernels = 1 (run the fused engine) or tl_tile_rows = 0 "
-        "(untiled)?");
-  }
-  if (pipeline && !fuse_kernels) {
-    throw TeaError(
-        "tl_pipeline requests the pipelined execution engine, but "
-        "fuse_kernels is off — the pipeline schedules the fused engine's "
-        "row-blocks and the unfused path would silently measure the "
-        "unpipelined sweeps.  Did you mean tl_fuse_kernels = 1 (run the "
-        "fused engine) or tl_pipeline = 0?");
-  }
   if (has_eig_hints() &&
       (type == SolverType::kJacobi || type == SolverType::kCG)) {
     throw TeaError(
@@ -166,6 +144,15 @@ SolverConfig SolverConfig::validated() const {
         "'.  Did you mean tl_use_chebyshev or tl_use_ppcg?");
   }
   return *this;
+}
+
+bool SolveStats::break_on_nonfinite(double metric, const char* solver) {
+  if (std::isfinite(metric)) return false;
+  breakdown = true;
+  breakdown_reason = std::string(solver) +
+                     " breakdown: non-finite residual (NaN/Inf in the "
+                     "iterate, right-hand side or operator)";
+  return true;
 }
 
 }  // namespace tealeaf

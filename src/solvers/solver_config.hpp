@@ -92,41 +92,18 @@ struct SolverConfig {
   /// classic CG; off by default.
   bool fuse_cg_reductions = false;
 
-  /// Run the solver through the fused kernel execution engine: ONE
-  /// hoisted parallel region per iteration (worksharing loops, team
-  /// reductions and team-aware halo exchanges inside) and single-pass
-  /// fused kernels (Listing 1's smvp+dot generalised to the whole
-  /// iteration).  Numerically bitwise identical to the unfused path —
-  /// the sweep engine A/Bs the two modes as a pure-speed design axis.
-  bool fuse_kernels = false;
-
-  /// Row-block height of the tiled execution engine (tl_tile_rows).
-  /// > 0: fused sweeps iterate over row-blocks of this many rows so the
-  ///      per-block working set fits in L2, and the engine workshares
-  ///      (rank, row-block) pairs over the whole thread team when there
-  ///      are more threads than simulated ranks.
-  ///   0: untiled (whole-chunk sweeps, one block per rank) — the default.
+  /// Row-block height of the execution engine (tl_tile_rows) — its one
+  /// setting.  Every native solve runs on a thread team inside ONE
+  /// parallel region, its sweeps cut into row-blocks of this many rows
+  /// so the per-block working set fits in L2; the engine workshares
+  /// (rank, row-block) pairs over the whole team when there are more
+  /// threads than simulated ranks.
   ///  -1: "auto" — derived at solve time from the modelled machine's
-  ///      per-core L2 and the chunk width (see auto_tile_rows).
-  /// Tiling is a layer of the fused engine; the unfused path ignores it.
+  ///      per-core L2 and the chunk width (see auto_tile_rows).  The
+  ///      default.
+  ///   0: one block per rank (per plane in 3-D).
   /// Iterates and iteration counts are bitwise identical for every value.
-  int tile_rows = 0;
-
-  /// Run the pipelined execution engine (tl_pipeline): the third tier
-  /// above fused and tiled.  Wherever consecutive kernels of one solver
-  /// iteration are separated by no reduction and no halo exchange (the
-  /// PPCG inner Chebyshev steps between matrix-powers exchanges, the
-  /// Jacobi save+update chain, Chebyshev's iterate+residual pair), each
-  /// row-block flows through the WHOLE kernel chain on its owning thread,
-  /// synchronising point-to-point on neighbouring blocks' progress ticks
-  /// (BlockTicks) instead of at team-wide barriers — trapezoidal (skewed)
-  /// block scheduling.  In 3-D the same scheme plane-lags the tiled
-  /// engine's deferred edge pass (update plane l−1 while the stencil
-  /// sweeps plane l+1).  A layer of the fused engine like tile_rows;
-  /// tile_rows == 0 pipelines whole-chunk blocks.  Bitwise identical to
-  /// tiled/fused/unfused — per-row arithmetic and the row/rank-ordered
-  /// reductions are shared, only the schedule changes.
-  bool pipeline = false;
+  int tile_rows = -1;
 
   /// Operator representation the solve traverses (tl_operator).  kStencil
   /// is the classic matrix-free path; kCsr / kSellCSigma run the same
@@ -152,8 +129,8 @@ struct SolverConfig {
 
   /// Construction-time misuse check: everything `validate()` rejects PLUS
   /// the silently-misleading combinations the solvers historically
-  /// tolerated — e.g. tile_rows != 0 under the unfused engine, which
-  /// would quietly measure the untiled path.  Errors carry did-you-mean
+  /// tolerated — e.g. eigenvalue hints on a solver that has no
+  /// Chebyshev polynomial to build from them.  Errors carry did-you-mean
   /// guidance in the deck parser's style.  Returns *this so call sites
   /// can build-and-validate in one expression:
   ///   SolveSession s(deck);  s.solve(cfg.validated());
@@ -175,38 +152,26 @@ struct SweepSpec {
   std::vector<int> halo_depths = {1};    ///< matrix-powers depth (PPCG)
   std::vector<int> mesh_sizes;           ///< empty = the base deck's mesh
   std::vector<int> thread_counts = {0};  ///< 0 = runtime default threads
-  /// Execution-engine axis (0 = unfused, 1 = fused kernels): the sixth
-  /// design-space dimension, A/B-ing SolverConfig::fuse_kernels.
-  std::vector<int> fused = {0};
-  /// Tile-height axis (SolverConfig::tile_rows; 0 = untiled): the seventh
-  /// design-space dimension.  Non-zero values only combine with fused
-  /// cells — tiling is a layer of the fused engine — so tiled×unfused
-  /// cells are enumerated but skipped.
-  std::vector<int> tile_rows = {0};
-  /// Pipelined-engine axis (`sweep_pipeline = 0,1`): the tenth
-  /// design-space dimension, A/B-ing SolverConfig::pipeline.  Pipelined
-  /// cells only combine with fused cells (the pipeline schedules the
-  /// fused engine's row-blocks), so pipeline×unfused cells are enumerated
-  /// but skipped, as are mg-pcg×pipeline cells (the multigrid engine pair
-  /// has no block pipeline).
-  std::vector<int> pipeline = {0};
-  /// Geometry axis (`sweep_geometry = 2d,3d`): the eighth design-space
-  /// dimension.  A 3-D cell runs the 7-point operator on a mesh_n³ brick
-  /// through the same unified core (labels carry a trailing "/3d", the
-  /// CSV/JSON tables a `geometry` column).  Empty = inherit the base
+  /// Tile-height axis (SolverConfig::tile_rows; -1 = auto, 0 = one
+  /// block per rank): the design space's one execution-engine dimension.
+  std::vector<int> tile_rows = {-1};
+  /// Geometry axis (`sweep_geometry = 2d,3d`).  A 3-D cell runs the
+  /// 7-point operator on a mesh_n³ brick through the same unified core
+  /// (labels carry a trailing "/3d", the CSV/JSON tables a `geometry`
+  /// column).  Empty = inherit the base
   /// deck's geometry, like the mesh-size axis.  Every solver — mg-pcg
   /// and its dimension-generic multigrid hierarchy included — runs in
   /// both geometries.
   std::vector<int> geometries;
-  /// Operator-format axis (`sweep_operator = stencil,csr,sell-c-sigma`):
-  /// the ninth design-space dimension, A/B-ing SolverConfig::op — the
-  /// matrix-free stencil against the assembled storage formats.
+  /// Operator-format axis (`sweep_operator = stencil,csr,sell-c-sigma`),
+  /// A/B-ing SolverConfig::op — the matrix-free stencil against the
+  /// assembled storage formats.
   /// Assembled cells only combine with halo depth 1 and the native
   /// solvers (mg-pcg rebuilds its hierarchy from face coefficients), so
   /// other combinations are enumerated but skipped.
   std::vector<std::string> operators = {"stencil"};
-  /// Precision axis (`sweep_precision = double,single,mixed`): the
-  /// eleventh design-space dimension, A/B-ing SolverConfig::precision
+  /// Precision axis (`sweep_precision = double,single,mixed`), A/B-ing
+  /// SolverConfig::precision
   /// (labels carry `/f32` or `/mixed`, CSV/JSON a `precision` column).
   /// mg-pcg cells stay double-only, so other combinations are enumerated
   /// but skipped.
@@ -248,6 +213,13 @@ struct SolveStats {
   /// The scaling model prices SpMV traffic from this instead of the
   /// stencil's fixed bytes-per-cell when it is set.
   double nnz_per_row = 0.0;
+
+  /// Record a breakdown when a convergence reduction `metric` came back
+  /// NaN or infinite — a non-finite value anywhere in the iterate,
+  /// right-hand side or operator poisons every later reduction, so
+  /// iterating on only burns max_iters.  Returns true when it did;
+  /// `solver` names the solver in the reason.
+  bool break_on_nonfinite(double metric, const char* solver);
 };
 
 }  // namespace tealeaf

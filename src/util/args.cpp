@@ -35,6 +35,14 @@ bool Args::has(const std::string& name) const {
   return values_.count(name) > 0;
 }
 
+void Args::reject_retired(const std::string& name,
+                          const std::string& replacement) const {
+  if (!has(name)) return;
+  throw TeaError("--" + name + " was retired: every solve runs the one "
+                 "tiled team engine, whose only setting is the row-block "
+                 "height — use " + replacement + " instead");
+}
+
 std::string Args::get(const std::string& name,
                       const std::string& fallback) const {
   const auto it = values_.find(name);

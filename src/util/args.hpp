@@ -25,6 +25,11 @@ class Args {
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 
+  /// Throw TeaError if the retired option `--name` was passed, naming
+  /// the `replacement` — a retired flag must fail loudly, not be ignored.
+  void reject_retired(const std::string& name,
+                      const std::string& replacement) const;
+
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;
   }

@@ -6,8 +6,12 @@
 #include "amg/multigrid.hpp"
 #include "comm/sim_comm.hpp"
 #include "ops/kernels.hpp"
-#include "solvers/cg.hpp"
+#include "solvers/solver.hpp"
 #include "test_helpers.hpp"
+
+#if defined(TEALEAF_HAVE_OPENMP)
+#include <omp.h>
+#endif
 
 namespace tealeaf {
 namespace {
@@ -104,7 +108,7 @@ TEST(MGPCG, MatchesTeaLeafCGSolution) {
   SolverConfig cfg;
   cfg.type = SolverType::kCG;
   cfg.eps = 1e-12;
-  ASSERT_TRUE(CGSolver::solve(*cl, cfg).converged);
+  ASSERT_TRUE(run_solver(*cl, cfg).converged);
   for (int k = 0; k < 40; ++k)
     for (int j = 0; j < 40; ++j)
       EXPECT_NEAR(u_mg(j, k), c.u()(j, k), 1e-6) << j << "," << k;
@@ -127,7 +131,7 @@ TEST(MGPCG, NearMeshIndependentIterations) {
     SolverConfig cfg;
     cfg.type = SolverType::kCG;
     cfg.eps = 1e-10;
-    const SolveStats st = CGSolver::solve(*cl, cfg);
+    const SolveStats st = run_solver(*cl, cfg);
     ASSERT_TRUE(st.converged);
     (n == 32 ? iters32 : iters64) = res.iterations;
     (n == 32 ? cg32 : cg64) = st.outer_iters;
@@ -423,7 +427,7 @@ TEST(MGPCG3D, MatchesTeaLeafCGSolution3D) {
   SolverConfig cfg;
   cfg.type = SolverType::kCG;
   cfg.eps = 1e-12;
-  ASSERT_TRUE(CGSolver::solve(*cl, cfg).converged);
+  ASSERT_TRUE(run_solver(*cl, cfg).converged);
   for (int l = 0; l < n; ++l)
     for (int k = 0; k < n; ++k)
       for (int j = 0; j < n; ++j)
@@ -433,82 +437,79 @@ TEST(MGPCG3D, MatchesTeaLeafCGSolution3D) {
 
 TEST(MGPCG3D, SinglePlaneSolveMatches2DExactly) {
   // The satellite contract: the slab solve reproduces the 2-D iteration
-  // count, both residual norms and the iterate itself exactly — in both
-  // execution engines.
-  for (const bool fused : {false, true}) {
-    const int n = 24;
-    auto d2 = make_test_problem(n, 1, 2, 6.0);
-    auto d3 = make_test_problem_slab3d(n, 1, 2, 6.0);
-    Chunk& c2 = d2->chunk(0);
-    Chunk& c3 = d3->chunk(0);
-    MGPreconditionedCG::Options opt;
-    opt.fused = fused;
-    auto s2 = MGPreconditionedCG::from_chunk(c2, opt);
-    auto s3 = MGPreconditionedCG::from_chunk(c3, opt);
+  // count, both residual norms and the iterate itself exactly.
+  const int n = 24;
+  auto d2 = make_test_problem(n, 1, 2, 6.0);
+  auto d3 = make_test_problem_slab3d(n, 1, 2, 6.0);
+  Chunk& c2 = d2->chunk(0);
+  Chunk& c3 = d3->chunk(0);
+  auto s2 = MGPreconditionedCG::from_chunk(c2);
+  auto s3 = MGPreconditionedCG::from_chunk(c3);
 
-    Field<double> rhs2(n, n, 0, 0.0);
-    Field<double> rhs3 = Field<double>::make3d(n, n, 1, 0, 0.0);
-    for (int k = 0; k < n; ++k)
-      for (int j = 0; j < n; ++j) {
-        rhs2(j, k) = c2.u0()(j, k);
-        rhs3(j, k, 0) = c3.u0()(j, k, 0);
-        ASSERT_EQ(rhs2(j, k), rhs3(j, k, 0));
-      }
-    Field<double> u2(n, n, 1, 0.0);
-    Field<double> u3 = Field<double>::make3d(n, n, 1, 1, 0.0);
-    const MGPCGResult r2 = s2.solve(rhs2, u2);
-    const MGPCGResult r3 = s3.solve(rhs3, u3);
-    ASSERT_TRUE(r2.converged);
-    ASSERT_TRUE(r3.converged);
-    EXPECT_EQ(r3.iterations, r2.iterations) << "fused=" << fused;
-    EXPECT_EQ(r3.initial_norm, r2.initial_norm) << "fused=" << fused;
-    EXPECT_EQ(r3.final_norm, r2.final_norm) << "fused=" << fused;
-    for (int k = 0; k < n; ++k)
-      for (int j = 0; j < n; ++j)
-        ASSERT_EQ(u2(j, k), u3(j, k, 0))
-            << "fused=" << fused << " (" << j << "," << k << ")";
-  }
+  Field<double> rhs2(n, n, 0, 0.0);
+  Field<double> rhs3 = Field<double>::make3d(n, n, 1, 0, 0.0);
+  for (int k = 0; k < n; ++k)
+    for (int j = 0; j < n; ++j) {
+      rhs2(j, k) = c2.u0()(j, k);
+      rhs3(j, k, 0) = c3.u0()(j, k, 0);
+      ASSERT_EQ(rhs2(j, k), rhs3(j, k, 0));
+    }
+  Field<double> u2(n, n, 1, 0.0);
+  Field<double> u3 = Field<double>::make3d(n, n, 1, 1, 0.0);
+  const MGPCGResult r2 = s2.solve(rhs2, u2);
+  const MGPCGResult r3 = s3.solve(rhs3, u3);
+  ASSERT_TRUE(r2.converged);
+  ASSERT_TRUE(r3.converged);
+  EXPECT_EQ(r3.iterations, r2.iterations);
+  EXPECT_EQ(r3.initial_norm, r2.initial_norm);
+  EXPECT_EQ(r3.final_norm, r2.final_norm);
+  for (int k = 0; k < n; ++k)
+    for (int j = 0; j < n; ++j)
+      ASSERT_EQ(u2(j, k), u3(j, k, 0)) << "(" << j << "," << k << ")";
 }
 
-TEST(MGPCG3D, FusedBitwiseIdenticalToUnfused) {
-  // Engine equivalence in BOTH dimensions, the way test_geometry3d
-  // enforces it for the native solvers.
+TEST(MGPCG3D, ThreadCountNeverChangesTheSolve) {
+  // Row-ordered reductions make the team solve independent of how many
+  // threads share the row loops, in BOTH dimensions.
   for (const int dims : {2, 3}) {
     const int n = dims == 3 ? 12 : 24;
     auto cl = dims == 3 ? make_test_problem_3d(n, 1, 2, 6.0)
                         : make_test_problem(n, 1, 2, 6.0);
     Chunk& c = cl->chunk(0);
-    const auto rhs_field = [&] {
-      Field<double> rhs =
-          dims == 3 ? Field<double>::make3d(n, n, n, 0, 0.0)
-                    : Field<double>(n, n, 0, 0.0);
-      for (int l = 0; l < c.nz(); ++l)
-        for (int k = 0; k < n; ++k)
-          for (int j = 0; j < n; ++j) rhs(j, k, l) = c.u0()(j, k, l);
-      return rhs;
+    Field<double> rhs = dims == 3 ? Field<double>::make3d(n, n, n, 0, 0.0)
+                                  : Field<double>(n, n, 0, 0.0);
+    for (int l = 0; l < c.nz(); ++l)
+      for (int k = 0; k < n; ++k)
+        for (int j = 0; j < n; ++j) rhs(j, k, l) = c.u0()(j, k, l);
+    const auto solve_with = [&](int threads, Field<double>& u) {
+#if defined(TEALEAF_HAVE_OPENMP)
+      const int saved = omp_get_max_threads();
+      omp_set_num_threads(threads);
+#else
+      (void)threads;
+#endif
+      auto solver = MGPreconditionedCG::from_chunk(c);
+      const MGPCGResult res = solver.solve(rhs, u);
+#if defined(TEALEAF_HAVE_OPENMP)
+      omp_set_num_threads(saved);
+#endif
+      return res;
     };
-    const Field<double> rhs = rhs_field();
-    const auto solve_with = [&](bool fused, Field<double>& u) {
-      MGPreconditionedCG::Options opt;
-      opt.fused = fused;
-      auto solver = MGPreconditionedCG::from_chunk(c, opt);
-      return solver.solve(rhs, u);
-    };
-    Field<double> uu = dims == 3 ? Field<double>::make3d(n, n, n, 1, 0.0)
+    Field<double> u1 = dims == 3 ? Field<double>::make3d(n, n, n, 1, 0.0)
                                  : Field<double>(n, n, 1, 0.0);
-    Field<double> uf = dims == 3 ? Field<double>::make3d(n, n, n, 1, 0.0)
+    Field<double> u4 = dims == 3 ? Field<double>::make3d(n, n, n, 1, 0.0)
                                  : Field<double>(n, n, 1, 0.0);
-    const MGPCGResult ru = solve_with(false, uu);
-    const MGPCGResult rf = solve_with(true, uf);
-    ASSERT_TRUE(ru.converged) << dims << "D";
-    ASSERT_TRUE(rf.converged) << dims << "D";
-    EXPECT_EQ(rf.iterations, ru.iterations) << dims << "D";
-    EXPECT_EQ(rf.initial_norm, ru.initial_norm) << dims << "D";
-    EXPECT_EQ(rf.final_norm, ru.final_norm) << dims << "D";
+    const MGPCGResult r1 = solve_with(1, u1);
+    const MGPCGResult r4 = solve_with(4, u4);
+    ASSERT_TRUE(r1.converged) << dims << "D";
+    ASSERT_TRUE(r4.converged) << dims << "D";
+    EXPECT_EQ(r4.iterations, r1.iterations) << dims << "D";
+    EXPECT_EQ(r4.initial_norm, r1.initial_norm) << dims << "D";
+    EXPECT_EQ(r4.final_norm, r1.final_norm) << dims << "D";
     for (int l = 0; l < c.nz(); ++l)
       for (int k = 0; k < n; ++k)
         for (int j = 0; j < n; ++j)
-          ASSERT_EQ(uu(j, k, l), uf(j, k, l))
+          ASSERT_EQ(u1(j, k, l), u4(j, k, l))
               << dims << "D (" << j << "," << k << "," << l << ")";
   }
 }

@@ -117,38 +117,39 @@ TEST(SessionCache, EvictsLeastRecentShapeWholeWhenOverCapacity) {
 }
 
 TEST(SolverConfigValidated, RejectsInconsistentCombosWithGuidance) {
-  SolverConfig cfg;
-  cfg.type = SolverType::kCG;
-  cfg.tile_rows = 64;
-  cfg.fuse_kernels = false;
-  EXPECT_THROW((void)cfg.validated(), TeaError);
-
   SolverConfig hints;
   hints.type = SolverType::kCG;
   hints.eig_hint_min = 1.0;
   hints.eig_hint_max = 5.0;
   EXPECT_THROW((void)hints.validated(), TeaError);
 
+  SolverConfig tile;
+  tile.tile_rows = -2;
+  EXPECT_THROW((void)tile.validated(), TeaError);
+
   SolverConfig ok;
   ok.type = SolverType::kPPCG;
-  ok.fuse_kernels = true;
   ok.tile_rows = 16;
   EXPECT_NO_THROW((void)ok.validated());
 }
 
-TEST(DeprecatedShim, SolveLinearSystemStillDispatches) {
-  auto a = testing::make_test_problem(16, 2, 2);
-  auto b = testing::make_test_problem(16, 2, 2);
-  SolverConfig cfg;
-  cfg.type = SolverType::kCG;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const SolveStats legacy = solve_linear_system(*a, cfg);
-#pragma GCC diagnostic pop
-  const SolveStats current = run_solver(*b, cfg);
-  EXPECT_EQ(legacy.final_norm, current.final_norm);
-  EXPECT_EQ(legacy.outer_iters, current.outer_iters);
-  EXPECT_EQ(testing::max_field_diff(*a, *b, FieldId::kU), 0.0);
+TEST(RunSolver, HandDrivenStepMatchesSessionSolve) {
+  // Callers that drive a cluster by hand — prepare, run_solver,
+  // finish_solve — get exactly the session's own solve.
+  const InputDeck deck = decks::hot_block(16, 1);
+  SolveSession a(deck, 2);
+  SolveSession b(deck, 2);
+  const SolveStats via_session = a.solve();
+  b.prepare();
+  const SolveStats by_hand =
+      run_solver(b.cluster(), deck.solver.validated(), b.machine());
+  b.finish_solve(by_hand);
+  ASSERT_TRUE(via_session.converged);
+  EXPECT_EQ(by_hand.final_norm, via_session.final_norm);
+  EXPECT_EQ(by_hand.outer_iters, via_session.outer_iters);
+  EXPECT_EQ(testing::max_field_diff(a.cluster(), b.cluster(), FieldId::kU),
+            0.0);
+  EXPECT_EQ(a.field_summary().temp, b.field_summary().temp);
 }
 
 }  // namespace

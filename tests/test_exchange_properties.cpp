@@ -224,16 +224,23 @@ TEST(ExchangeProperty, StatsAggregateAcrossCalls) {
   EXPECT_EQ(copy.bytes_by_depth.at(3), 2 * cl.stats().bytes_by_depth.at(3));
 }
 
-TEST(Reduce2, FusedPairMatchesSeparateSums) {
+TEST(Reduce2, FusedPairTravelsInOneAllreduce) {
   const GlobalMesh2D mesh(12, 12);
-  SimCluster2D cl(mesh, 4, 1);
-  std::vector<std::pair<double, double>> partials = {
-      {1.0, 10.0}, {2.0, 20.0}, {3.0, 30.0}, {4.0, 40.0}};
-  const auto [a, b] = cl.reduce_sum2(partials);
-  EXPECT_DOUBLE_EQ(a, 10.0);
-  EXPECT_DOUBLE_EQ(b, 100.0);
+  SimCluster2D cl(mesh, 4, 1);  // 2×2 ranks of 6×6 cells
+  std::pair<double, double> sums;
+  parallel_region([&](Team& t) {
+    const auto ab = cl.sum2_rows_over_chunks(
+        t, 0, [](int r, Chunk2D& c, const Bounds& tb) {
+          for (int k = tb.klo; k < tb.khi; ++k) {
+            c.row_scratch()[2 * k] = r + 1.0;
+            c.row_scratch()[2 * k + 1] = 10.0 * (r + 1.0);
+          }
+        });
+    t.single([&] { sums = ab; });
+  });
+  EXPECT_DOUBLE_EQ(sums.first, 6.0 * (1 + 2 + 3 + 4));
+  EXPECT_DOUBLE_EQ(sums.second, 60.0 * (1 + 2 + 3 + 4));
   EXPECT_EQ(cl.stats().reductions, 1);  // ONE allreduce for the pair
-  EXPECT_THROW(cl.reduce_sum2({{1, 2}}), TeaError);
 }
 
 }  // namespace

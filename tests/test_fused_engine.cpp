@@ -1,11 +1,22 @@
+// The team runtime the execution engine runs on (Team, parallel_region,
+// the Team-aware collectives) and the engine's failure reporting: CG and
+// PPCG breakdowns, and a non-finite residual treated as a breakdown by
+// every solver — reported within one convergence check and answered by
+// the solve server with a re-route.
+
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "driver/decks.hpp"
+#include "driver/sweep.hpp"
 #include "driver/tealeaf_app.hpp"
 #include "ops/kernels.hpp"
+#include "server/routing.hpp"
+#include "server/solve_server.hpp"
 #include "solvers/cg.hpp"
 #include "solvers/solver.hpp"
 #include "test_helpers.hpp"
@@ -14,9 +25,7 @@
 namespace tealeaf {
 namespace {
 
-using testing::install_operator;
 using testing::make_test_problem;
-using testing::max_field_diff;
 
 // ---- Team / parallel_region primitives ----------------------------------
 
@@ -76,7 +85,7 @@ TEST(TeamCluster, SumOverChunksMatchesStandaloneBitwise) {
   cl->reset_stats();
   double team_total = 0.0;
   parallel_region([&](Team& t) {
-    const double v = cl->sum_over_chunks(&t, [](int, const Chunk2D& c) {
+    const double v = cl->sum_over_chunks(t, [](int, const Chunk2D& c) {
       return kernels::norm2_sq(c, FieldId::kU);
     });
     t.single([&] { team_total = v; });
@@ -106,201 +115,30 @@ TEST(TeamCluster, TeamExchangeMatchesStandalone) {
   EXPECT_EQ(a->stats().exchange_calls, b->stats().exchange_calls);
 }
 
-// ---- fused kernels: single-pass vs composed sweeps ----------------------
-
-TEST(FusedKernels, ChebyStepMatchesSmvpPlusUpdate) {
-  for (const bool diag : {false, true}) {
-    auto a = make_test_problem(28, 2, 3);
-    auto b = make_test_problem(28, 2, 3);
-    for (auto* cl : {a.get(), b.get()}) {
-      cl->for_each_chunk([](int r, Chunk2D& c) {
-        for (int k = -3; k < c.ny() + 3; ++k)
-          for (int j = -3; j < c.nx() + 3; ++j) {
-            c.sd()(j, k) = 0.01 * (j + 2 * k) + r;
-            c.rtemp()(j, k) = 0.5 - 0.003 * j * k;
-            c.z()(j, k) = 0.25 * j;
-          }
-      });
-    }
-    const double alpha = 0.37, beta = 1.21;
-    a->for_each_chunk([&](int, Chunk2D& c) {
-      const Bounds bb = extended_bounds(c, 2);
-      kernels::smvp(c, FieldId::kSd, FieldId::kW, bb);
-      kernels::cheby_fused_update(c, FieldId::kRtemp, FieldId::kSd,
-                                  FieldId::kZ, alpha, beta, diag, bb);
-    });
-    b->for_each_chunk([&](int, Chunk2D& c) {
-      kernels::cheby_step(c, FieldId::kRtemp, FieldId::kSd, FieldId::kZ,
-                          alpha, beta, diag, extended_bounds(c, 2));
-    });
-    for (const FieldId f :
-         {FieldId::kRtemp, FieldId::kSd, FieldId::kZ, FieldId::kW}) {
-      EXPECT_EQ(max_field_diff(*a, *b, f), 0.0) << "diag=" << diag;
-    }
-  }
-}
-
-TEST(FusedKernels, CalcUrDotMatchesComposedSweeps) {
-  for (const PreconType precon :
-       {PreconType::kNone, PreconType::kJacobiDiag, PreconType::kJacobiBlock}) {
-    auto a = make_test_problem(20, 2, 2);
-    auto b = make_test_problem(20, 2, 2);
-    for (auto* cl : {a.get(), b.get()}) {
-      cg_setup(*cl, precon);
-      cl->exchange({FieldId::kP}, 1);
-      cl->for_each_chunk([](int, Chunk2D& c) {
-        kernels::smvp(c, FieldId::kP, FieldId::kW, interior_bounds(c));
-      });
-    }
-    const double alpha = 0.61;
-    const double unfused = a->sum_over_chunks([&](int, Chunk2D& c) {
-      kernels::cg_calc_ur(c, alpha);
-      if (precon == PreconType::kNone) {
-        return kernels::norm2_sq(c, FieldId::kR);
-      }
-      kernels::apply_preconditioner(c, precon, FieldId::kR, FieldId::kZ);
-      return kernels::dot(c, FieldId::kR, FieldId::kZ);
-    });
-    const double fused = b->sum_over_chunks([&](int, Chunk2D& c) {
-      return kernels::calc_ur_dot(c, alpha, precon);
-    });
-    EXPECT_EQ(fused, unfused) << to_string(precon);
-    for (const FieldId f : {FieldId::kU, FieldId::kR}) {
-      EXPECT_EQ(max_field_diff(*a, *b, f), 0.0) << to_string(precon);
-    }
-  }
-}
-
-// ---- fused vs unfused whole-solver property test ------------------------
-
-struct EngineCase {
-  SolverType type;
-  PreconType precon;
-  int halo_depth;
-  bool chrono;  // fuse_cg_reductions (CG only)
-  // Both configs share the operator kind, so assembled cases check the
-  // fused ≡ unfused contract on the CSR / SELL-C-σ SpMV paths too.
-  OperatorKind op = OperatorKind::kStencil;
-};
-
-class FusedEngineEquivalence : public ::testing::TestWithParam<EngineCase> {};
-
-TEST_P(FusedEngineEquivalence, SameIterationsResidualsAndCommStats) {
-  const EngineCase ec = GetParam();
-  SolverConfig cfg;
-  cfg.type = ec.type;
-  cfg.precon = ec.precon;
-  cfg.halo_depth = ec.halo_depth;
-  cfg.fuse_cg_reductions = ec.chrono;
-  cfg.op = ec.op;
-  cfg.eps = (ec.type == SolverType::kJacobi) ? 1e-5 : 1e-10;
-  cfg.max_iters = (ec.type == SolverType::kJacobi) ? 100000 : 10000;
-
-  auto a = make_test_problem(32, 4, std::max(2, ec.halo_depth), 8.0);
-  auto b = make_test_problem(32, 4, std::max(2, ec.halo_depth), 8.0);
-  install_operator(*a, ec.op);
-  install_operator(*b, ec.op);
-  SolverConfig fused_cfg = cfg;
-  fused_cfg.fuse_kernels = true;
-  const SolveStats su = run_solver(*a, cfg);
-  const SolveStats sf = run_solver(*b, fused_cfg);
-
-  ASSERT_TRUE(su.converged);
-  ASSERT_TRUE(sf.converged);
-  // The fused engine reorders nothing: per-rank kernels do the same
-  // per-cell arithmetic in the same order and reductions sum the same
-  // rank-ordered partials, so iteration counts must match exactly and
-  // residuals to a tight ULP tolerance.
-  EXPECT_EQ(sf.outer_iters, su.outer_iters);
-  EXPECT_EQ(sf.inner_steps, su.inner_steps);
-  EXPECT_EQ(sf.spmv_applies, su.spmv_applies);
-  EXPECT_EQ(sf.eigen_cg_iters, su.eigen_cg_iters);
-  EXPECT_NEAR(sf.final_norm, su.final_norm,
-              4e-15 * std::max(1.0, su.final_norm));
-  EXPECT_NEAR(sf.initial_norm, su.initial_norm, 4e-15 * su.initial_norm);
-  const double uscale = std::fabs(a->chunk(0).u()(0, 0)) + 1.0;
-  EXPECT_LT(max_field_diff(*a, *b, FieldId::kU), 1e-12 * uscale);
-
-  // Same communication: the engine changes where the fork/join happens,
-  // not what travels.
-  EXPECT_EQ(a->stats().exchange_calls, b->stats().exchange_calls);
-  EXPECT_EQ(a->stats().messages, b->stats().messages);
-  EXPECT_EQ(a->stats().message_bytes, b->stats().message_bytes);
-  EXPECT_EQ(a->stats().reductions, b->stats().reductions);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllSolversAndPrecons, FusedEngineEquivalence,
-    ::testing::Values(
-        EngineCase{SolverType::kJacobi, PreconType::kNone, 1, false},
-        EngineCase{SolverType::kCG, PreconType::kNone, 1, false},
-        EngineCase{SolverType::kCG, PreconType::kJacobiDiag, 1, false},
-        EngineCase{SolverType::kCG, PreconType::kJacobiBlock, 1, false},
-        EngineCase{SolverType::kCG, PreconType::kNone, 1, true},
-        EngineCase{SolverType::kCG, PreconType::kJacobiDiag, 1, true},
-        EngineCase{SolverType::kCG, PreconType::kJacobiBlock, 1, true},
-        EngineCase{SolverType::kChebyshev, PreconType::kNone, 1, false},
-        EngineCase{SolverType::kChebyshev, PreconType::kJacobiDiag, 1, false},
-        EngineCase{SolverType::kChebyshev, PreconType::kJacobiBlock, 1,
-                   false},
-        EngineCase{SolverType::kPPCG, PreconType::kNone, 1, false},
-        EngineCase{SolverType::kPPCG, PreconType::kJacobiDiag, 1, false},
-        EngineCase{SolverType::kPPCG, PreconType::kJacobiBlock, 1, false},
-        EngineCase{SolverType::kPPCG, PreconType::kNone, 4, false},
-        EngineCase{SolverType::kPPCG, PreconType::kJacobiDiag, 4, false},
-        // Assembled operators (CSR / SELL-C-σ, halo depth 1 by contract):
-        // the same fused ≡ unfused guarantee holds on the SpMV-from-matrix
-        // paths for every solver family and preconditioner.
-        EngineCase{SolverType::kJacobi, PreconType::kNone, 1, false,
-                   OperatorKind::kCsr},
-        EngineCase{SolverType::kCG, PreconType::kNone, 1, false,
-                   OperatorKind::kCsr},
-        EngineCase{SolverType::kCG, PreconType::kJacobiBlock, 1, false,
-                   OperatorKind::kCsr},
-        EngineCase{SolverType::kCG, PreconType::kJacobiDiag, 1, true,
-                   OperatorKind::kCsr},
-        EngineCase{SolverType::kChebyshev, PreconType::kJacobiDiag, 1, false,
-                   OperatorKind::kCsr},
-        EngineCase{SolverType::kPPCG, PreconType::kNone, 1, false,
-                   OperatorKind::kCsr},
-        EngineCase{SolverType::kCG, PreconType::kNone, 1, false,
-                   OperatorKind::kSellCSigma},
-        EngineCase{SolverType::kCG, PreconType::kJacobiBlock, 1, false,
-                   OperatorKind::kSellCSigma},
-        EngineCase{SolverType::kChebyshev, PreconType::kNone, 1, false,
-                   OperatorKind::kSellCSigma},
-        EngineCase{SolverType::kPPCG, PreconType::kJacobiDiag, 1, false,
-                   OperatorKind::kSellCSigma}),
-    [](const auto& info) {
-      const EngineCase& ec = info.param;
-      std::string name = std::string(to_string(ec.type)) + "_" +
-                         to_string(ec.precon) + "_d" +
-                         std::to_string(ec.halo_depth);
-      if (ec.chrono) name += "_chrono";
-      if (ec.op == OperatorKind::kCsr) name += "_csr";
-      if (ec.op == OperatorKind::kSellCSigma) name += "_sell";
-      return name;
-    });
-
 // ---- breakdown reporting ------------------------------------------------
 
-TEST(Breakdown, CgIterationReportsInsteadOfThrowingWhenFlagged) {
+TEST(Breakdown, CgIterationReportsInsteadOfThrowing) {
   auto cl = make_test_problem(16, 2, 2);
-  const double rro = cg_setup(*cl, PreconType::kNone);
-  ASSERT_GT(rro, 0.0);
-  // Doctor the state: p = 0 makes ⟨p, A·p⟩ = 0, the classic breakdown.
-  cl->for_each_chunk([](int, Chunk2D& c) {
-    c.p().fill(0.0);
-  });
+  double rro = 0.0;
+  double rrn = 0.0;
   bool broke = false;
-  const double rrn =
-      cg_iteration(*cl, PreconType::kNone, rro, nullptr, &broke);
+  parallel_region([&](Team& t) {
+    const double v = cg_setup(*cl, PreconType::kNone, t);
+    // Doctor the state: p = 0 makes ⟨p, A·p⟩ = 0, the classic breakdown.
+    t.for_range(0, cl->nranks(),
+                [&](std::int64_t r) { cl->chunk(r).p().fill(0.0); });
+    bool mine = false;
+    const double w = cg_iteration(*cl, PreconType::kNone, 0, v, nullptr,
+                                  mine, t);
+    t.single([&] {
+      rro = v;
+      rrn = w;
+      broke = mine;
+    });
+  });
+  ASSERT_GT(rro, 0.0);
   EXPECT_TRUE(broke);
   EXPECT_EQ(rrn, rro);  // state untouched, metric handed back
-
-  // Without the flag the contract-violation behaviour is preserved.
-  cl->for_each_chunk([](int, Chunk2D& c) { c.p().fill(0.0); });
-  EXPECT_THROW(cg_iteration(*cl, PreconType::kNone, rro, nullptr), TeaError);
 }
 
 /// PPCG configuration that reliably breaks down: two eigenvalue presteps
@@ -320,18 +158,154 @@ InputDeck breakdown_deck() {
 }
 
 TEST(Breakdown, PPCGReportsIndefinitePolynomialPreconditioner) {
-  for (const bool fused : {false, true}) {
-    InputDeck deck = breakdown_deck();
-    deck.solver.fuse_kernels = fused;
-    TeaLeafApp app(deck, 2);
-    const SolveStats st = app.step();
-    EXPECT_TRUE(st.breakdown) << "fused=" << fused;
-    EXPECT_FALSE(st.converged) << "fused=" << fused;
-    EXPECT_FALSE(st.breakdown_reason.empty()) << "fused=" << fused;
-    // Breakdown is detected within a few outer iterations, not after
-    // burning the whole iteration budget on a diverging solve.
-    EXPECT_LT(st.outer_iters - st.eigen_cg_iters, 10) << "fused=" << fused;
+  TeaLeafApp app(breakdown_deck(), 2);
+  const SolveStats st = app.step();
+  EXPECT_TRUE(st.breakdown);
+  EXPECT_FALSE(st.converged);
+  EXPECT_FALSE(st.breakdown_reason.empty());
+  // Breakdown is detected within a few outer iterations, not after
+  // burning the whole iteration budget on a diverging solve.
+  EXPECT_LT(st.outer_iters - st.eigen_cg_iters, 10);
+}
+
+// ---- a non-finite residual is a breakdown in every solver ----------------
+
+/// Seed a NaN into u0 (and the initial guess u = u0) at one cell.
+void seed_nan(SimCluster& cl) {
+  Chunk& c = cl.chunk(0);
+  c.u0()(3, 2) = std::nan("");
+  c.u()(3, 2) = std::nan("");
+}
+
+class NonFiniteBreakdown : public ::testing::TestWithParam<SolverType> {};
+
+TEST_P(NonFiniteBreakdown, NanInU0BreaksDownWithinOneCheck) {
+  SolverConfig cfg;
+  cfg.type = GetParam();
+  cfg.max_iters = 5000;
+  auto cl = make_test_problem(16, 2, 2);
+  seed_nan(*cl);
+  const SolveStats st = run_solver(*cl, cfg);
+  EXPECT_TRUE(st.breakdown);
+  EXPECT_FALSE(st.converged);
+  EXPECT_NE(st.breakdown_reason.find("non-finite"), std::string::npos)
+      << st.breakdown_reason;
+  // Jacobi's first convergence check is its first sweep; the Krylov
+  // solvers check the set-up residual before iterating at all.
+  EXPECT_LE(st.outer_iters, GetParam() == SolverType::kJacobi ? 1 : 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EverySolver, NonFiniteBreakdown,
+    ::testing::Values(SolverType::kJacobi, SolverType::kCG,
+                      SolverType::kChebyshev, SolverType::kPPCG),
+    [](const auto& info) { return std::string(to_string(info.param)); });
+
+TEST(NonFiniteBreakdown, ChronopoulosGearAndMixedPrecisionToo) {
+  for (const Precision precision : {Precision::kDouble, Precision::kMixed}) {
+    SolverConfig cfg;
+    cfg.type = SolverType::kCG;
+    cfg.fuse_cg_reductions = precision == Precision::kDouble;
+    cfg.precision = precision;
+    auto cl = make_test_problem(16, 2, 2);
+    seed_nan(*cl);
+    const SolveStats st = run_solver(*cl, cfg);
+    EXPECT_TRUE(st.breakdown) << to_string(precision);
+    EXPECT_NE(st.breakdown_reason.find("non-finite"), std::string::npos)
+        << st.breakdown_reason;
+    EXPECT_EQ(st.outer_iters, 0) << to_string(precision);
   }
+}
+
+TEST(NonFiniteBreakdown, DivergingChebyshevStopsAtTheNextCheck) {
+  // Eigenvalue hints far below the spectrum make the polynomial grow
+  // without bound; the residual overflows long before max_iters, and the
+  // first check that sees it non-finite ends the solve.
+  SolverConfig cfg;
+  cfg.type = SolverType::kChebyshev;
+  cfg.eig_hint_min = 0.1;
+  cfg.eig_hint_max = 0.2;
+  cfg.max_iters = 10000;
+  auto cl = make_test_problem(16, 2, 2, 6.0);
+  const SolveStats st = run_solver(*cl, cfg);
+  EXPECT_TRUE(st.breakdown);
+  EXPECT_NE(st.breakdown_reason.find("non-finite"), std::string::npos)
+      << st.breakdown_reason;
+  EXPECT_LT(st.outer_iters, 2000);
+  EXPECT_EQ(st.outer_iters % cfg.cheby_check_interval, 0);
+}
+
+/// A routing table ranking `solver` first with cg as its fallback, at
+/// the 24² two-rank shape of the requests below.
+RoutingTable first_then_cg(const std::string& solver) {
+  SweepReport rep;
+  rep.ranks = 2;
+  rep.steps = 1;
+  for (const auto& [name, seconds] :
+       {std::pair<std::string, double>{solver, 0.01}, {"cg", 0.02}}) {
+    SweepOutcome cell;
+    cell.config.solver = name;
+    cell.config.mesh_n = 24;
+    cell.converged = true;
+    cell.iterations = 10;
+    cell.solve_seconds = seconds;
+    rep.cells.push_back(cell);
+  }
+  return RoutingTable::from_sweep(rep);
+}
+
+class NonFiniteReroute : public ::testing::TestWithParam<SolverType> {};
+
+TEST_P(NonFiniteReroute, ServerReroutesInsteadOfBurningMaxIters) {
+  // Energy near the top of the double range overflows u0 = ρ·e to inf,
+  // so the residual is non-finite from the first reduction.
+  InputDeck deck = decks::hot_block(24, 1);
+  deck.states[0].density = 2.0;
+  deck.states[0].energy = 1e308;
+  deck.solver.max_iters = 5000;
+  ServerOptions opts;
+  opts.routes = first_then_cg(to_string(GetParam()));
+  SolveServer server(std::move(opts));
+  SolveRequest req;
+  req.deck = deck;
+  req.nranks = 2;
+  const SolveResult res = server.solve_one(req);
+  EXPECT_EQ(res.config.type, SolverType::kCG);  // the fallback ran
+  EXPECT_TRUE(res.rerouted);
+  EXPECT_EQ(res.attempts, 2);
+  EXPECT_TRUE(res.stats.breakdown);  // cg breaks down on the same input
+  EXPECT_FALSE(res.ok());
+  // The first attempt stopped at its first check.
+  EXPECT_LE(res.failed_attempt_iters, 1);
+  EXPECT_EQ(server.stats().reroutes, 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EverySolver, NonFiniteReroute,
+    ::testing::Values(SolverType::kJacobi, SolverType::kCG,
+                      SolverType::kChebyshev, SolverType::kPPCG),
+    [](const auto& info) { return std::string(to_string(info.param)); });
+
+TEST(NonFiniteReroute, DivergingHintedChebyshevRecoversOnRetry) {
+  // The perfbench stream's failure mode: a hinted Chebyshev request
+  // diverges.  The non-finite check turns it into a breakdown, and the
+  // server's hint-stripping retry converges.
+  SolveRequest req;
+  req.deck = decks::hot_block(24, 1);
+  req.nranks = 2;
+  SolverConfig cfg = req.deck.solver;
+  cfg.type = SolverType::kChebyshev;
+  cfg.eig_hint_min = 0.1;
+  cfg.eig_hint_max = 0.2;
+  cfg.max_iters = 10000;
+  req.config = cfg;
+  SolveServer server;
+  const SolveResult res = server.solve_one(req);
+  EXPECT_TRUE(res.ok());
+  EXPECT_TRUE(res.rerouted);
+  EXPECT_EQ(res.attempts, 2);
+  EXPECT_FALSE(res.config.has_eig_hints());
+  EXPECT_LT(res.failed_attempt_iters, 2000);
 }
 
 }  // namespace

@@ -1,21 +1,21 @@
-// Dimension-generic core guarantees:
-//  * Cross-dimension consistency — a z-uniform 3-D problem with a single
-//    cell-plane (nz = 1) has Kz ≡ 0, so the 7-point operator degenerates
-//    to the 5-point one and EVERY per-iteration scalar (rro, alpha, beta),
-//    iteration count and iterate must reproduce the 2-D solver's exactly,
-//    for every solver × preconditioner × execution-engine cell.
-//  * 3-D engine equivalence — the fused and tiled execution engines are
-//    bitwise identical to the unfused path in 3-D, enforced exactly the
-//    way test_tiled_engine.cpp enforces it in 2-D.
+// Dimension-generic core guarantee: cross-dimension consistency — a
+// z-uniform 3-D problem with a single cell-plane (nz = 1) has Kz ≡ 0, so
+// the 7-point operator degenerates to the 5-point one and EVERY
+// per-iteration scalar (rro, alpha, beta), iteration count and iterate
+// must reproduce the 2-D solver's exactly, for every solver ×
+// preconditioner × tile-height cell.  (The engine's 3-D equivalence with
+// the serial reference lives in test_tiled_engine.)
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "solvers/cg.hpp"
 #include "solvers/solver.hpp"
 #include "test_helpers.hpp"
+#include "util/parallel.hpp"
 
 namespace tealeaf {
 namespace {
@@ -41,15 +41,30 @@ TEST(CrossDimension, SlabCGRecurrenceScalarsMatch2DExactly) {
         PreconType::kJacobiBlock}) {
     auto d2 = make_test_problem(16, 2, 2);
     auto d3 = make_slab_problem(16, 2, 2);
-    double rro2 = cg_setup(*d2, precon);
-    double rro3 = cg_setup(*d3, precon);
-    ASSERT_EQ(rro2, rro3) << to_string(precon);
+    // Recurrence scalars of eight CG iterations on one cluster.
+    const auto run = [&](SimCluster& cl, std::vector<double>& rr,
+                         CGRecurrence& rec) {
+      parallel_region([&](Team& t) {
+        std::vector<double> mine_rr;
+        CGRecurrence mine;
+        bool broke = false;
+        double v = cg_setup(cl, precon, t);
+        mine_rr.push_back(v);
+        for (int i = 0; i < 8; ++i) {
+          v = cg_iteration(cl, precon, 3, v, &mine, broke, t);
+          mine_rr.push_back(v);
+        }
+        t.single([&] {
+          rr = mine_rr;
+          rec = mine;
+        });
+      });
+    };
+    std::vector<double> rr2, rr3;
     CGRecurrence rec2, rec3;
-    for (int i = 0; i < 8; ++i) {
-      rro2 = cg_iteration(*d2, precon, rro2, &rec2, nullptr);
-      rro3 = cg_iteration(*d3, precon, rro3, &rec3, nullptr);
-      ASSERT_EQ(rro2, rro3) << to_string(precon) << " iter " << i;
-    }
+    run(*d2, rr2, rec2);
+    run(*d3, rr3, rec3);
+    EXPECT_EQ(rr2, rr3) << to_string(precon);
     ASSERT_EQ(rec2.alphas.size(), rec3.alphas.size());
     for (std::size_t i = 0; i < rec2.alphas.size(); ++i) {
       EXPECT_EQ(rec2.alphas[i], rec3.alphas[i])
@@ -64,7 +79,6 @@ struct EngineCell {
   SolverType type;
   PreconType precon;
   bool chrono;
-  bool fused;
   int tile_rows;
   int halo_depth = 1;
 };
@@ -74,8 +88,8 @@ std::string cell_name(const EngineCell& ec) {
                      to_string(ec.precon) + "_d" +
                      std::to_string(ec.halo_depth);
   if (ec.chrono) name += "_chrono";
-  if (ec.fused) name += "_fused";
-  if (ec.tile_rows != 0) name += "_b" + std::to_string(ec.tile_rows);
+  name += ec.tile_rows < 0 ? std::string("_auto")
+                           : "_b" + std::to_string(ec.tile_rows);
   return name;
 }
 
@@ -85,7 +99,6 @@ SolverConfig cell_config(const EngineCell& ec) {
   cfg.precon = ec.precon;
   cfg.halo_depth = ec.halo_depth;
   cfg.fuse_cg_reductions = ec.chrono;
-  cfg.fuse_kernels = ec.fused;
   cfg.tile_rows = ec.tile_rows;
   cfg.eps = (ec.type == SolverType::kJacobi) ? 1e-5 : 1e-10;
   cfg.max_iters = (ec.type == SolverType::kJacobi) ? 100000 : 10000;
@@ -125,90 +138,24 @@ TEST_P(CrossDimensionCell, SlabSolveMatches2DExactly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    SolverPreconEngine, CrossDimensionCell,
+    SolverPreconTile, CrossDimensionCell,
     ::testing::Values(
-        EngineCell{SolverType::kJacobi, PreconType::kNone, false, false, 0},
-        EngineCell{SolverType::kJacobi, PreconType::kNone, false, true, 0},
-        EngineCell{SolverType::kJacobi, PreconType::kNone, false, true, 3},
-        EngineCell{SolverType::kCG, PreconType::kNone, false, false, 0},
-        EngineCell{SolverType::kCG, PreconType::kNone, false, true, 0},
-        EngineCell{SolverType::kCG, PreconType::kNone, false, true, 3},
-        EngineCell{SolverType::kCG, PreconType::kJacobiDiag, false, true, 3},
-        EngineCell{SolverType::kCG, PreconType::kJacobiBlock, false, true,
+        EngineCell{SolverType::kJacobi, PreconType::kNone, false, 0},
+        EngineCell{SolverType::kJacobi, PreconType::kNone, false, 3},
+        EngineCell{SolverType::kCG, PreconType::kNone, false, -1},
+        EngineCell{SolverType::kCG, PreconType::kNone, false, 3},
+        EngineCell{SolverType::kCG, PreconType::kJacobiDiag, false, 3},
+        EngineCell{SolverType::kCG, PreconType::kJacobiBlock, false, 3},
+        EngineCell{SolverType::kCG, PreconType::kNone, true, 0},
+        EngineCell{SolverType::kCG, PreconType::kJacobiDiag, true, 3},
+        EngineCell{SolverType::kChebyshev, PreconType::kNone, false, -1},
+        EngineCell{SolverType::kChebyshev, PreconType::kJacobiDiag, false,
                    3},
-        EngineCell{SolverType::kCG, PreconType::kNone, true, false, 0},
-        EngineCell{SolverType::kCG, PreconType::kJacobiDiag, true, true, 3},
-        EngineCell{SolverType::kChebyshev, PreconType::kNone, false, false,
+        EngineCell{SolverType::kChebyshev, PreconType::kJacobiBlock, false,
                    0},
-        EngineCell{SolverType::kChebyshev, PreconType::kJacobiDiag, false,
-                   true, 3},
-        EngineCell{SolverType::kChebyshev, PreconType::kJacobiBlock, false,
-                   true, 0},
-        EngineCell{SolverType::kPPCG, PreconType::kNone, false, false, 0},
-        EngineCell{SolverType::kPPCG, PreconType::kJacobiDiag, false, true,
-                   3},
-        EngineCell{SolverType::kPPCG, PreconType::kNone, false, true, 3, 3}),
-    [](const auto& info) { return cell_name(info.param); });
-
-// ---- 3-D fused/tiled vs unfused: bitwise ---------------------------------
-
-class Engine3DEquivalence : public ::testing::TestWithParam<EngineCell> {};
-
-TEST_P(Engine3DEquivalence, BitwiseIdenticalToUnfused3D) {
-  const EngineCell ec = GetParam();
-  SolverConfig cfg = cell_config(ec);
-  const int halo = std::max(2, ec.halo_depth);
-  auto a = make_test_problem_3d(10, 4, halo, 6.0);
-  auto b = make_test_problem_3d(10, 4, halo, 6.0);
-  SolverConfig unfused = cfg;
-  unfused.fuse_kernels = false;
-  unfused.tile_rows = 0;
-  const SolveStats su = run_solver(*a, unfused);
-  const SolveStats st = run_solver(*b, cfg);
-  ASSERT_TRUE(su.converged);
-  ASSERT_TRUE(st.converged);
-  EXPECT_EQ(st.outer_iters, su.outer_iters);
-  EXPECT_EQ(st.inner_steps, su.inner_steps);
-  EXPECT_EQ(st.spmv_applies, su.spmv_applies);
-  EXPECT_EQ(st.eigen_cg_iters, su.eigen_cg_iters);
-  EXPECT_EQ(st.initial_norm, su.initial_norm);
-  EXPECT_EQ(st.final_norm, su.final_norm);
-  EXPECT_EQ(max_field_diff(*a, *b, FieldId::kU), 0.0);
-  // The engines change the schedule, never the data motion.
-  EXPECT_EQ(a->stats().exchange_calls, b->stats().exchange_calls);
-  EXPECT_EQ(a->stats().messages, b->stats().messages);
-  EXPECT_EQ(a->stats().message_bytes, b->stats().message_bytes);
-  EXPECT_EQ(a->stats().reductions, b->stats().reductions);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllSolversFusedAndTiled, Engine3DEquivalence,
-    ::testing::Values(
-        EngineCell{SolverType::kJacobi, PreconType::kNone, false, true, 0},
-        EngineCell{SolverType::kJacobi, PreconType::kNone, false, true, 1},
-        EngineCell{SolverType::kJacobi, PreconType::kNone, false, true, 4},
-        EngineCell{SolverType::kCG, PreconType::kNone, false, true, 0},
-        EngineCell{SolverType::kCG, PreconType::kNone, false, true, 1},
-        EngineCell{SolverType::kCG, PreconType::kNone, false, true, 4},
-        EngineCell{SolverType::kCG, PreconType::kNone, false, true, 1000},
-        EngineCell{SolverType::kCG, PreconType::kJacobiDiag, false, true, 3},
-        EngineCell{SolverType::kCG, PreconType::kJacobiBlock, false, true,
-                   3},
-        EngineCell{SolverType::kCG, PreconType::kNone, true, true, 4},
-        EngineCell{SolverType::kCG, PreconType::kJacobiDiag, true, true, 2},
-        EngineCell{SolverType::kCG, PreconType::kJacobiBlock, true, true, 5},
-        EngineCell{SolverType::kChebyshev, PreconType::kNone, false, true,
-                   3},
-        EngineCell{SolverType::kChebyshev, PreconType::kJacobiDiag, false,
-                   true, 2},
-        EngineCell{SolverType::kChebyshev, PreconType::kJacobiBlock, false,
-                   true, 0},
-        EngineCell{SolverType::kPPCG, PreconType::kNone, false, true, 3},
-        EngineCell{SolverType::kPPCG, PreconType::kJacobiDiag, false, true,
-                   2},
-        EngineCell{SolverType::kPPCG, PreconType::kNone, false, true, 3, 3},
-        EngineCell{SolverType::kPPCG, PreconType::kJacobiDiag, false, true,
-                   1, 2}),
+        EngineCell{SolverType::kPPCG, PreconType::kNone, false, -1},
+        EngineCell{SolverType::kPPCG, PreconType::kJacobiDiag, false, 3},
+        EngineCell{SolverType::kPPCG, PreconType::kNone, false, 3, 3}),
     [](const auto& info) { return cell_name(info.param); });
 
 }  // namespace

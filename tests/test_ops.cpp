@@ -91,16 +91,19 @@ TEST_F(OpsFixture, SmvpMatchesDenseReference) {
       EXPECT_NEAR(c.w()(j, k), dense_apply(c, p, j, k), 1e-13);
 }
 
-TEST_F(OpsFixture, SmvpDotReturnsInteriorInnerProduct) {
+TEST_F(OpsFixture, SmvpDotRowsSumToTheInteriorInnerProduct) {
   Chunk2D& c = cl_->chunk(0);
   SplitMix64 rng(99);
   auto& p = c.p();
   p.fill(0.0);
   for (int k = 0; k < c.ny(); ++k)
     for (int j = 0; j < c.nx(); ++j) p(j, k) = rng.next_double(-1.0, 1.0);
-  const double pw = kernels::smvp_dot(c, FieldId::kP, FieldId::kW,
-                                      interior_bounds(c));
-  EXPECT_NEAR(pw, kernels::dot(c, FieldId::kP, FieldId::kW), 1e-12);
+  const Bounds in = interior_bounds(c);
+  kernels::smvp_dot_rows(c, FieldId::kP, FieldId::kW, in, in,
+                         c.row_scratch());
+  double pw = 0.0;
+  for (int k = 0; k < c.ny(); ++k) pw += c.row_scratch()[k];
+  EXPECT_EQ(pw, kernels::dot(c, FieldId::kP, FieldId::kW));
   EXPECT_GT(pw, 0.0);  // SPD: ⟨p, A p⟩ > 0 for p ≠ 0
 }
 
@@ -152,8 +155,8 @@ TEST_F(OpsFixture, InitUSetsTemperatureAndClearsWork) {
 TEST_F(OpsFixture, VectorKernelsBasics) {
   Chunk2D& c = cl_->chunk(0);
   const Bounds in = interior_bounds(c);
-  kernels::fill(c, FieldId::kP, 2.0, in);
-  kernels::fill(c, FieldId::kZ, 3.0, in);
+  c.p().fill(2.0);
+  c.z().fill(3.0);
   kernels::axpy(c, FieldId::kP, 0.5, FieldId::kZ, in);  // p = 2 + 1.5
   EXPECT_DOUBLE_EQ(c.p()(1, 1), 3.5);
   kernels::xpby(c, FieldId::kP, FieldId::kZ, 2.0, in);  // p = 3 + 2*3.5
@@ -209,8 +212,17 @@ TEST(JacobiKernel, OneSweepReducesError) {
   kernels::init_u_u0(c);
   c.u0()(5, 5) = 10.0;  // perturb the RHS
   kernels::init_conduction(c, kernels::Coefficient::kConductivity, 1.0, 1.0);
-  const double e1 = kernels::jacobi_iterate(c);
-  const double e2 = kernels::jacobi_iterate(c);
+  // One whole-chunk sweep: the tile pass plus its deferred edge rows.
+  const auto sweep = [&c] {
+    const Bounds in = interior_bounds(c);
+    kernels::jacobi_tile(c, in, c.row_scratch());
+    kernels::jacobi_tile_edges(c, in, c.row_scratch());
+    double err = 0.0;
+    for (int k = 0; k < c.ny(); ++k) err += c.row_scratch()[k];
+    return err;
+  };
+  const double e1 = sweep();
+  const double e2 = sweep();
   EXPECT_GT(e1, 0.0);
   EXPECT_LT(e2, e1);
 }

@@ -1,9 +1,9 @@
-// The mixed-precision execution layer's contract (eleventh design-space
-// axis):
+// The mixed-precision execution layer's contract:
 //   * tl_precision = double is BITWISE identical to the historical fp64
 //     path — allocating (but not activating) the fp32 bank must not
-//     perturb a single ULP of any solver, engine, geometry or operator
-//     representation;
+//     perturb a single ULP of any solver, geometry or operator
+//     representation (the engine itself is checked against the serial
+//     reference at every precision in test_tiled_engine);
 //   * tl_precision = mixed converges to the SAME tl_eps as fp64, through
 //     an fp64-guarded iterative-refinement loop around fp32 inner solves,
 //     and records how many refinement passes it took;
@@ -36,24 +36,12 @@ using testing::max_field_diff;
 
 // ---- fp64 path: bitwise unperturbed by the precision layer ---------------
 
-enum class Engine { kUnfused, kFused, kTiled, kPipelined };
-
-const char* engine_name(Engine e) {
-  switch (e) {
-    case Engine::kUnfused: return "unfused";
-    case Engine::kFused: return "fused";
-    case Engine::kTiled: return "tiled";
-    case Engine::kPipelined: return "pipelined";
-  }
-  return "?";
-}
-
-using Fp64Case = std::tuple<SolverType, Engine, int, OperatorKind>;
+using Fp64Case = std::tuple<SolverType, int, OperatorKind>;
 
 class Fp64BitwiseIdentity : public ::testing::TestWithParam<Fp64Case> {};
 
 TEST_P(Fp64BitwiseIdentity, Fp32BankDoesNotPerturbDoubleSolves) {
-  const auto [type, engine, dims, op] = GetParam();
+  const auto [type, dims, op] = GetParam();
   SolverConfig cfg;
   cfg.type = type;
   cfg.op = op;
@@ -61,22 +49,6 @@ TEST_P(Fp64BitwiseIdentity, Fp32BankDoesNotPerturbDoubleSolves) {
   cfg.max_iters = (type == SolverType::kJacobi) ? 60000 : 10000;
   cfg.eigen_cg_iters = 15;
   cfg.inner_steps = 8;
-  switch (engine) {
-    case Engine::kUnfused:
-      break;
-    case Engine::kFused:
-      cfg.fuse_kernels = true;
-      break;
-    case Engine::kTiled:
-      cfg.fuse_kernels = true;
-      cfg.tile_rows = 6;
-      break;
-    case Engine::kPipelined:
-      cfg.fuse_kernels = true;
-      cfg.tile_rows = 4;
-      cfg.pipeline = true;
-      break;
-  }
 
   const auto make = [&] {
     return dims == 3 ? make_test_problem_3d(10, 2, 2)
@@ -85,7 +57,7 @@ TEST_P(Fp64BitwiseIdentity, Fp32BankDoesNotPerturbDoubleSolves) {
   auto ref = make();
   install_operator(*ref, op);
   const SolveStats ss = run_solver(*ref, cfg);
-  ASSERT_TRUE(ss.converged) << engine_name(engine);
+  ASSERT_TRUE(ss.converged);
 
   // Same problem, but every chunk carries the (inactive) fp32 field bank
   // and the config names its precision explicitly.  kDouble never touches
@@ -96,26 +68,24 @@ TEST_P(Fp64BitwiseIdentity, Fp32BankDoesNotPerturbDoubleSolves) {
   SolverConfig dcfg = cfg;
   dcfg.precision = Precision::kDouble;
   const SolveStats sd = run_solver(*cl, dcfg);
-  ASSERT_TRUE(sd.converged) << engine_name(engine);
+  ASSERT_TRUE(sd.converged);
 
-  EXPECT_EQ(sd.outer_iters, ss.outer_iters) << engine_name(engine);
-  EXPECT_EQ(sd.inner_steps, ss.inner_steps) << engine_name(engine);
-  EXPECT_EQ(sd.eigen_cg_iters, ss.eigen_cg_iters) << engine_name(engine);
-  EXPECT_EQ(sd.spmv_applies, ss.spmv_applies) << engine_name(engine);
-  EXPECT_EQ(sd.initial_norm, ss.initial_norm) << engine_name(engine);
-  EXPECT_EQ(sd.final_norm, ss.final_norm) << engine_name(engine);
+  EXPECT_EQ(sd.outer_iters, ss.outer_iters);
+  EXPECT_EQ(sd.inner_steps, ss.inner_steps);
+  EXPECT_EQ(sd.eigen_cg_iters, ss.eigen_cg_iters);
+  EXPECT_EQ(sd.spmv_applies, ss.spmv_applies);
+  EXPECT_EQ(sd.initial_norm, ss.initial_norm);
+  EXPECT_EQ(sd.final_norm, ss.final_norm);
   EXPECT_EQ(sd.refine_steps, 0);
   EXPECT_EQ(max_field_diff(*ref, *cl, FieldId::kU), 0.0)
-      << engine_name(engine);
+     ;
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllSolversEnginesGeometriesOperators, Fp64BitwiseIdentity,
+    AllSolversGeometriesOperators, Fp64BitwiseIdentity,
     ::testing::Combine(
         ::testing::Values(SolverType::kJacobi, SolverType::kCG,
                           SolverType::kChebyshev, SolverType::kPPCG),
-        ::testing::Values(Engine::kUnfused, Engine::kFused, Engine::kTiled,
-                          Engine::kPipelined),
         ::testing::Values(2, 3),
         ::testing::Values(OperatorKind::kStencil, OperatorKind::kCsr,
                           OperatorKind::kSellCSigma)));

@@ -2,6 +2,7 @@
 
 #include "comm/sim_comm.hpp"
 #include "ops/kernels.hpp"
+#include "ops/operator_view.hpp"
 #include "precon/preconditioner.hpp"
 #include "util/numeric.hpp"
 
@@ -34,7 +35,7 @@ class PreconFixture : public ::testing::Test {
     const auto& ky = c.ky();
     const int k0 = (k / kJacBlockSize) * kJacBlockSize;
     const int k1 = std::min(k0 + kJacBlockSize, c.ny());
-    double acc = kernels::diag_at(c, j, k) * x(j, k);
+    double acc = StencilView<2>(c).diag(j, k, 0) * x(j, k);
     if (k > k0) acc -= ky(j, k) * x(j, k - 1);
     if (k < k1 - 1) acc -= ky(j, k + 1) * x(j, k + 1);
     return acc;
@@ -48,7 +49,7 @@ TEST_F(PreconFixture, DiagSolveDividesByDiagonal) {
   kernels::diag_solve(c, FieldId::kR, FieldId::kZ, interior_bounds(c));
   for (int k = 0; k < c.ny(); ++k)
     for (int j = 0; j < c.nx(); ++j)
-      EXPECT_NEAR(c.z()(j, k) * kernels::diag_at(c, j, k), c.r()(j, k),
+      EXPECT_NEAR(c.z()(j, k) * StencilView<2>(c).diag(j, k, 0), c.r()(j, k),
                   1e-13);
 }
 

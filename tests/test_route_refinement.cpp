@@ -33,20 +33,19 @@ std::string slurp(const std::string& path) {
 
 /// Two-entry table on one measured shape: a "fast" chebyshev entry whose
 /// prediction will turn out to be a lie, and an honest (pessimistically
-/// predicted) fused-CG entry ranked second.
+/// predicted) CG entry ranked second.
 SweepReport two_route_report(int mesh_n, double cheby_seconds,
                              double cg_seconds) {
   SweepReport rep;
   rep.ranks = 2;
   rep.steps = 1;
-  const auto add = [&](const std::string& solver, PreconType pre, bool fused,
+  const auto add = [&](const std::string& solver, PreconType pre,
                        double seconds, const std::string& precision) {
     SweepOutcome cell;
     cell.config.solver = solver;
     cell.config.precon = pre;
     cell.config.halo_depth = 1;
     cell.config.mesh_n = mesh_n;
-    cell.config.fused = fused;
     cell.config.dims = 2;
     cell.config.precision = precision;
     cell.converged = true;
@@ -54,8 +53,8 @@ SweepReport two_route_report(int mesh_n, double cheby_seconds,
     cell.solve_seconds = seconds;
     rep.cells.push_back(cell);
   };
-  add("chebyshev", PreconType::kNone, false, cheby_seconds, "double");
-  add("cg", PreconType::kNone, true, cg_seconds, "double");
+  add("chebyshev", PreconType::kNone, cheby_seconds, "double");
+  add("cg", PreconType::kNone, cg_seconds, "double");
   return rep;
 }
 
@@ -66,19 +65,19 @@ SweepReport two_route_report(int mesh_n, double cheby_seconds,
 TEST(RouteDatabase, EwmaRecordSemantics) {
   RouteDatabase db;
   const RouteObservation& a =
-      db.record("2d/n16/r2", "cg/none/d1/fused", 1.0, 0.5, 0.5);
+      db.record("2d/n16/r2", "cg/none/d1", 1.0, 0.5, 0.5);
   EXPECT_EQ(a.ewma_seconds, 1.0);  // first sample initialises exactly
   EXPECT_EQ(a.observations, 1);
   EXPECT_EQ(a.predicted_seconds, 0.5);
 
   const RouteObservation& b =
-      db.record("2d/n16/r2", "cg/none/d1/fused", 3.0, 0.5, 0.5);
+      db.record("2d/n16/r2", "cg/none/d1", 3.0, 0.5, 0.5);
   EXPECT_DOUBLE_EQ(b.ewma_seconds, 0.5 * 3.0 + 0.5 * 1.0);
   EXPECT_EQ(b.observations, 2);
   EXPECT_FALSE(b.demoted);
 
   const RouteObservation& c =
-      db.record_breakdown("2d/n16/r2", "cg/none/d1/fused");
+      db.record_breakdown("2d/n16/r2", "cg/none/d1");
   EXPECT_EQ(c.observations, 3);
   EXPECT_EQ(c.breakdowns, 1);
   EXPECT_TRUE(c.demoted);  // a breakdown demotes immediately
@@ -88,7 +87,7 @@ TEST(RouteDatabase, EwmaRecordSemantics) {
   EXPECT_EQ(db.learned(4), 0);
   EXPECT_EQ(db.demotions(), 1);
   EXPECT_EQ(db.find("2d/n16/r2", "nope"), nullptr);
-  EXPECT_EQ(db.find("3d/n16/r2", "cg/none/d1/fused"), nullptr);
+  EXPECT_EQ(db.find("3d/n16/r2", "cg/none/d1"), nullptr);
 }
 
 TEST(RouteDatabase, SaveLoadSaveIsBitwiseStable) {
@@ -96,9 +95,9 @@ TEST(RouteDatabase, SaveLoadSaveIsBitwiseStable) {
   // Awkward doubles on purpose: the %.17g round-trip must hold exactly.
   db.record("2d/n48/r2", "chebyshev/none/d1", 0.1 + 0.2, 1e-7, 0.3);
   db.record("2d/n48/r2", "chebyshev/none/d1", 1.0 / 3.0, 1e-7, 0.3);
-  db.record("2d/n48/r2", "cg/none/d1/fused", 5e-3, 5.0, 0.3);
-  db.record("2d/n64/r2", "ppcg/jac_diag/d4/fused/mixed", 7e-3, 6.0, 0.3);
-  db.record_breakdown("2d/n64/r2", "ppcg/jac_diag/d4/fused/mixed");
+  db.record("2d/n48/r2", "cg/none/d1", 5e-3, 5.0, 0.3);
+  db.record("2d/n64/r2", "ppcg/jac_diag/d4/mixed", 7e-3, 6.0, 0.3);
+  db.record_breakdown("2d/n64/r2", "ppcg/jac_diag/d4/mixed");
 
   const std::string p1 = tmp_path("route_db_a.json");
   const std::string p2 = tmp_path("route_db_b.json");
@@ -131,6 +130,34 @@ TEST(RouteDatabase, LoadRejectsUnknownVersionAndMissingFile) {
       RouteDatabase::load_if_exists(tmp_path("also_missing.json")).empty());
 }
 
+TEST(RouteDatabase, RetiredEngineDatabasesAskForAFreshSweep) {
+  // Version 1 databases — and any route key naming the retired fused or
+  // pipelined tiers — were timed on engines that no longer exist: loading
+  // one must fail with a re-run-the-sweep error, never re-rank routes.
+  const auto expect_rejected = [](const std::string& text) {
+    try {
+      (void)RouteDatabase::from_json(io::JsonValue::parse(text));
+      FAIL() << "must be rejected: " << text;
+    } catch (const TeaError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("re-run the sweep"), std::string::npos) << msg;
+    }
+  };
+  expect_rejected(R"({"version": 1, "shapes": {}})");
+  const std::string cell =
+      R"({"ewma_seconds": 1, "predicted_seconds": 1, "observations": 1,)"
+      R"( "breakdowns": 0, "demoted": false})";
+  for (const char* route : {"cg/none/d1/fused", "ppcg/none/d4/b8/pipe/mixed"}) {
+    expect_rejected(R"({"version": 2, "shapes": {"2d/n16/r2": {")" +
+                    std::string(route) + "\": " + cell + "}}}");
+  }
+  EXPECT_EQ(RouteDatabase::kVersion, 2);
+  // A current key with the same shape loads fine.
+  EXPECT_NO_THROW((void)RouteDatabase::from_json(io::JsonValue::parse(
+      R"({"version": 2, "shapes": {"2d/n16/r2": {"cg/none/d1/b8": )" + cell +
+      "}}}")));
+}
+
 TEST(RouteDatabase, MergeNeverResurrectsFromStaleFewerObservations) {
   // Live database: the route was demoted on the strength of 5 samples.
   RouteDatabase live;
@@ -156,11 +183,11 @@ TEST(RouteDatabase, MergeNeverResurrectsFromStaleFewerObservations) {
 
   // A tie keeps the demotion in force.
   RouteDatabase tie1, tie2;
-  tie1.record("2d/n48/r2", "cg/none/d1/fused", 1.0, 1.0, 0.3);
-  tie1.demote("2d/n48/r2", "cg/none/d1/fused");
-  tie2.record("2d/n48/r2", "cg/none/d1/fused", 1.0, 1.0, 0.3);
+  tie1.record("2d/n48/r2", "cg/none/d1", 1.0, 1.0, 0.3);
+  tie1.demote("2d/n48/r2", "cg/none/d1");
+  tie2.record("2d/n48/r2", "cg/none/d1", 1.0, 1.0, 0.3);
   tie2.merge(tie1);
-  EXPECT_TRUE(tie2.find("2d/n48/r2", "cg/none/d1/fused")->demoted);
+  EXPECT_TRUE(tie2.find("2d/n48/r2", "cg/none/d1")->demoted);
 }
 
 TEST(RouteDatabase, MergeWeightsEwmasByObservationCount) {
@@ -310,7 +337,7 @@ TEST(RouteRefinement, SeedDatabasePrimesEveryMeasuredCell) {
       RoutingTable::from_sweep(two_route_report(16, 1e-2, 5.0));
   const RouteDatabase seed = table.seed_database();
   EXPECT_EQ(seed.size(), 2u);
-  const RouteObservation* obs = seed.find("2d/n16/r2", "cg/none/d1/fused");
+  const RouteObservation* obs = seed.find("2d/n16/r2", "cg/none/d1");
   ASSERT_NE(obs, nullptr);
   EXPECT_EQ(obs->observations, 1);
   EXPECT_EQ(obs->ewma_seconds, 5.0);
@@ -368,11 +395,11 @@ TEST(RouteRefinement, ServerConvergesOntoFastestRouteAndPersists) {
     labels.push_back(res.route_label);
   }
   // Three observations demote the lie; requests 4 and 5 run the honest
-  // fused-CG route.
+  // CG route.
   EXPECT_EQ(labels[0], "chebyshev/none/d1/n16");
   EXPECT_EQ(labels[2], "chebyshev/none/d1/n16");
-  EXPECT_EQ(labels[3], "cg/none/d1/n16/fused");
-  EXPECT_EQ(labels[4], "cg/none/d1/n16/fused");
+  EXPECT_EQ(labels[3], "cg/none/d1/n16");
+  EXPECT_EQ(labels[4], "cg/none/d1/n16");
   EXPECT_EQ(server.stats().route_observations, 5);
   EXPECT_EQ(server.stats().demotions, 1);
   server.save_route_db();
@@ -386,7 +413,7 @@ TEST(RouteRefinement, ServerConvergesOntoFastestRouteAndPersists) {
   req.nranks = 2;
   const SolveResult res = fresh.solve_one(std::move(req));
   ASSERT_TRUE(res.ok());
-  EXPECT_EQ(res.route_label, "cg/none/d1/n16/fused");
+  EXPECT_EQ(res.route_label, "cg/none/d1/n16");
   EXPECT_TRUE(res.route_learned);
   EXPECT_GE(res.route_observations, 1);
 }
@@ -415,7 +442,7 @@ TEST(RouteRefinement, RunHonoursDeckLearningKeys) {
       db.find("2d/n16/r2", "chebyshev/none/d1");
   ASSERT_NE(cheby, nullptr);
   EXPECT_TRUE(cheby->demoted);
-  const RouteObservation* cg = db.find("2d/n16/r2", "cg/none/d1/fused");
+  const RouteObservation* cg = db.find("2d/n16/r2", "cg/none/d1");
   ASSERT_NE(cg, nullptr);
   EXPECT_GE(cg->observations, 2);
   EXPECT_FALSE(cg->demoted);

@@ -19,7 +19,6 @@ namespace {
 SolverConfig native_config(SolverType t) {
   SolverConfig cfg;
   cfg.type = t;
-  cfg.fuse_kernels = true;
   cfg.max_iters = 20000;
   // Jacobi's convergence rate makes tight tolerances impractical on the
   // test problem; the bitwise comparison does not care about depth.
@@ -86,23 +85,22 @@ SweepReport synthetic_report() {
   rep.ranks = 2;
   rep.steps = 1;
   const auto add = [&](const std::string& solver, PreconType pre, int depth,
-                       bool fused, double seconds, int iters) {
+                       double seconds, int iters) {
     SweepOutcome cell;
     cell.config.solver = solver;
     cell.config.precon = pre;
     cell.config.halo_depth = depth;
     cell.config.mesh_n = 16;
-    cell.config.fused = fused;
     cell.config.dims = 2;
     cell.converged = true;
     cell.iterations = iters;
     cell.solve_seconds = seconds;
     rep.cells.push_back(cell);
   };
-  add("ppcg", PreconType::kJacobiDiag, 2, true, 0.010, 12);
-  add("cg", PreconType::kNone, 1, true, 0.020, 40);
-  add("jacobi", PreconType::kNone, 1, true, 0.300, 900);
-  add("mg-pcg", PreconType::kNone, 1, true, 0.050, 8);
+  add("ppcg", PreconType::kJacobiDiag, 2, 0.010, 12);
+  add("cg", PreconType::kNone, 1, 0.020, 40);
+  add("jacobi", PreconType::kNone, 1, 0.300, 900);
+  add("mg-pcg", PreconType::kNone, 1, 0.050, 8);
   return rep;
 }
 
@@ -114,7 +112,7 @@ TEST(RoutingTable, RanksMeasuredCellsFastestFirst) {
   ASSERT_EQ(multi.size(), 3u);  // mg-pcg needs the undecomposed grid
   EXPECT_EQ(multi.front().config.type, SolverType::kPPCG);
   EXPECT_FALSE(multi.front().projected);
-  EXPECT_EQ(multi.front().label(), "ppcg/jac_diag/d2/n16/fused");
+  EXPECT_EQ(multi.front().label(), "ppcg/jac_diag/d2/n16");
   EXPECT_EQ(multi.back().config.type, SolverType::kJacobi);
 
   const std::vector<RouteEntry> single = table.route(2, 16, 1);
@@ -142,7 +140,7 @@ TEST(RoutingTable, RoundTripsThroughSweepJson) {
       RoutingTable::from_json_string(rep.to_json().dump(2));
   EXPECT_EQ(table.size(), 4u);
   EXPECT_EQ(table.route(2, 16, 2).front().label(),
-            "ppcg/jac_diag/d2/n16/fused");
+            "ppcg/jac_diag/d2/n16");
 }
 
 TEST(SolveServer, MixedShapeStreamBatchesPerShapeInArrivalOrder) {
@@ -206,7 +204,7 @@ TEST(SolveServer, RoutesRequestsThroughTheTable) {
   req.nranks = 2;
   const SolveResult res = server.solve_one(req);
   EXPECT_TRUE(res.ok());
-  EXPECT_EQ(res.route_label, "ppcg/jac_diag/d2/n16/fused");
+  EXPECT_EQ(res.route_label, "ppcg/jac_diag/d2/n16");
   EXPECT_EQ(res.config.type, SolverType::kPPCG);
   EXPECT_EQ(res.config.halo_depth, 2);
   // The deck's tolerances survive routing; only structure is overlaid.
@@ -363,7 +361,6 @@ TEST(ServerPrecision, RoutesMixedCellsAndFiltersDoubleOnlyBaselines) {
   SweepOutcome cell;
   cell.config.solver = "cg";
   cell.config.mesh_n = 16;
-  cell.config.fused = true;
   cell.config.dims = 2;
   cell.config.precision = "mixed";
   cell.converged = true;
@@ -379,7 +376,7 @@ TEST(ServerPrecision, RoutesMixedCellsAndFiltersDoubleOnlyBaselines) {
   RoutingTable table = RoutingTable::from_sweep(rep);
   const std::vector<RouteEntry> ranked = table.route(2, 16, 1);
   ASSERT_FALSE(ranked.empty());
-  EXPECT_EQ(ranked.front().label(), "cg/none/d1/n16/fused/mixed");
+  EXPECT_EQ(ranked.front().label(), "cg/none/d1/n16/mixed");
   EXPECT_EQ(ranked.front().config.precision, Precision::kMixed);
   for (const RouteEntry& e : ranked) {
     if (e.solver == "mg-pcg") {
@@ -395,7 +392,7 @@ TEST(ServerPrecision, RoutesMixedCellsAndFiltersDoubleOnlyBaselines) {
   req.nranks = 2;
   const SolveResult res = server.solve_one(req);
   EXPECT_TRUE(res.ok());
-  EXPECT_EQ(res.route_label, "cg/none/d1/n16/fused/mixed");
+  EXPECT_EQ(res.route_label, "cg/none/d1/n16/mixed");
   EXPECT_EQ(res.config.type, SolverType::kCG);
   EXPECT_EQ(res.config.precision, Precision::kMixed);
   EXPECT_FALSE(res.batched);

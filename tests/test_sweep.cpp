@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "driver/decks.hpp"
 #include "driver/sweep.hpp"
 #include "model/scaling.hpp"
@@ -91,20 +95,29 @@ TEST(SweepDeck, ParsesAndRoundTripsSweepSection) {
   EXPECT_EQ(back.sweep.ranks, deck.sweep.ranks);
 }
 
-TEST(SweepDeck, FusedAxisAndEngineToggleRoundTrip) {
-  const InputDeck deck = InputDeck::parse_string(
-      "*tea\n"
-      "x_cells=16\ny_cells=16\nend_step=1\n"
-      "tl_fuse_kernels\n"
-      "sweep_solvers=cg\n"
-      "sweep_fused=0,1\n"
-      "state 1 density=1.0 energy=1.0\n"
-      "*endtea\n");
-  EXPECT_TRUE(deck.solver.fuse_kernels);
-  EXPECT_EQ(deck.sweep.fused, (std::vector<int>{0, 1}));
-  const InputDeck back = InputDeck::parse_string(deck.to_string());
-  EXPECT_TRUE(back.solver.fuse_kernels);
-  EXPECT_EQ(back.sweep.fused, deck.sweep.fused);
+TEST(SweepDeck, RetiredEngineKeysNameTheirReplacement) {
+  // The fused and pipelined engine tiers are gone; their deck keys fail
+  // loudly and point at the one remaining engine setting.
+  for (const auto& [key, replacement] :
+       {std::pair<std::string, std::string>{"tl_fuse_kernels",
+                                            "tl_tile_rows"},
+        {"tl_pipeline", "tl_tile_rows"},
+        {"sweep_fused", "sweep_tile_rows"},
+        {"sweep_pipeline", "sweep_tile_rows"}}) {
+    try {
+      (void)InputDeck::parse_string(
+          "*tea\nx_cells=16\ny_cells=16\nend_step=1\n"
+          "sweep_solvers=cg\n" +
+          key + "=1\nstate 1 density=1.0 energy=1.0\n*endtea\n");
+      FAIL() << key << " must be rejected";
+    } catch (const TeaError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("'" + key + "' was retired"), std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find("'" + replacement + "'"), std::string::npos)
+          << msg;
+    }
+  }
 }
 
 TEST(SweepDeck, NonSweepDecksStayNonSweep) {
@@ -314,64 +327,39 @@ TEST(SweepDeckDriven, DeckSweepSectionDrivesRun) {
   }
 }
 
-TEST(SweepFusedAxis, EnumeratesAsSixthInnermostAxis) {
-  SweepSpec spec;
-  spec.solvers = {"cg"};
-  spec.fused = {0, 1};
-  const std::vector<SweepCase> cases = enumerate_cases(spec, 16);
-  ASSERT_EQ(cases.size(), 2u);
-  ASSERT_EQ(spec.num_cases(), 2u);
-  EXPECT_EQ(cases[0].label(), "cg/none/d1/n16/t0");
-  EXPECT_EQ(cases[1].label(), "cg/none/d1/n16/t0/fused");
-  spec.fused = {2};
-  EXPECT_THROW(spec.validate(), TeaError);
-}
-
-TEST(SweepFusedAxis, FusedAndUnfusedCellsConvergeIdentically) {
-  InputDeck base = decks::hot_block(16, 1);
+TEST(SweepReport, RetiredEngineFieldsAreRejected) {
+  // Reports recorded before the one-engine collapse carry fused/pipeline
+  // fields: their timings describe engines that no longer exist, so they
+  // must be re-run, never silently ranked.
+  InputDeck base = decks::hot_block(12, 1);
   base.solver.eps = 1e-8;
   SweepSpec spec;
-  spec.solvers = {"cg", "ppcg", "mg-pcg"};
-  spec.fused = {0, 1};
+  spec.solvers = {"cg"};
   spec.ranks = 2;
   const SweepReport rep = run_sweep(base, spec);
-  ASSERT_EQ(rep.cells.size(), 6u);
+  const auto expect_retired = [](const auto& parse, const std::string& field) {
+    try {
+      parse();
+      FAIL() << field << " must be rejected";
+    } catch (const TeaError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("'" + field + "'"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("re-run the sweep"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("sweep_tile_rows"), std::string::npos) << msg;
+    }
+  };
+  for (const char* field : {"fused", "pipeline"}) {
+    io::JsonValue doc = rep.to_json();
+    io::JsonValue cells = io::JsonValue::array();
+    io::JsonValue cell = doc.at("cells").at(0);
+    cell.set(field, true);
+    cells.push_back(std::move(cell));
+    doc.set("cells", std::move(cells));
+    expect_retired([&] { (void)SweepReport::from_json(doc); }, field);
 
-  // mg-pcg's fused path hoists its V-cycle row loops into one team
-  // region per iteration: the sixth axis no longer skips the baseline,
-  // and the engine stays a pure-speed axis (identical iterations).
-  const SweepOutcome& mg_unfused = rep.cells[4];
-  const SweepOutcome& mg_fused = rep.cells[5];
-  ASSERT_EQ(mg_fused.config.solver, "mg-pcg");
-  ASSERT_TRUE(mg_fused.config.fused);
-  EXPECT_FALSE(mg_fused.skipped);
-  EXPECT_TRUE(mg_fused.converged);
-  EXPECT_EQ(mg_fused.iterations, mg_unfused.iterations);
-  EXPECT_EQ(mg_fused.final_norm, mg_unfused.final_norm);
-
-  // Native solvers: the engine is a pure-speed axis — identical
-  // iteration counts and communication per fused/unfused pair.
-  for (const std::size_t i : {0u, 2u}) {
-    const SweepOutcome& unfused = rep.cells[i];
-    const SweepOutcome& fused = rep.cells[i + 1];
-    ASSERT_FALSE(unfused.config.fused);
-    ASSERT_TRUE(fused.config.fused);
-    EXPECT_TRUE(unfused.converged) << unfused.config.label();
-    EXPECT_TRUE(fused.converged) << fused.config.label();
-    EXPECT_EQ(fused.iterations, unfused.iterations);
-    EXPECT_EQ(fused.inner_steps, unfused.inner_steps);
-    EXPECT_EQ(fused.reductions, unfused.reductions);
-    EXPECT_EQ(fused.message_bytes, unfused.message_bytes);
-  }
-
-  // The fused flag survives both serialisation round trips.
-  const SweepReport csv_back = SweepReport::from_csv_lines(rep.to_csv_lines());
-  const SweepReport json_back =
-      SweepReport::from_json_string(rep.to_json().dump(2));
-  for (std::size_t i = 0; i < rep.cells.size(); ++i) {
-    EXPECT_EQ(csv_back.cells[i].config.fused, rep.cells[i].config.fused);
-    EXPECT_EQ(json_back.cells[i].config.fused, rep.cells[i].config.fused);
-    EXPECT_EQ(csv_back.cells[i].config.label(), rep.cells[i].config.label());
+    std::vector<std::string> lines = rep.to_csv_lines();
+    lines.front() = lines.front() + "," + field;
+    expect_retired([&] { (void)SweepReport::from_csv_lines(lines); }, field);
   }
 }
 
@@ -387,7 +375,7 @@ TEST(SweepBreakdown, BreakdownRowFailsWithoutAbortingTheSweep) {
   base.solver.eps = 1e-8;
   base.solver.max_iters = 20000;
   base.sweep.solvers = {"cg", "ppcg"};
-  base.sweep.fused = {0, 1};
+  base.sweep.tile_rows = {-1, 0};
   base.sweep.ranks = 2;
 
   const SweepReport rep = run_sweep(base);
@@ -441,20 +429,20 @@ TEST(SweepScalingBridge, SpeedupsComeFromScalingModelHelper) {
   EXPECT_DOUBLE_EQ(eff[2], 0.5);
 }
 
-// ---- eighth axis: geometry (2d | 3d) -------------------------------------
+// ---- geometry axis (2d | 3d) ---------------------------------------------
 
-TEST(SweepGeometryAxis, EnumeratesAsEighthInnermostAxis) {
+TEST(SweepGeometryAxis, EnumeratesInsideTheTileAxis) {
   SweepSpec spec;
   spec.solvers = {"cg"};
-  spec.fused = {0, 1};
+  spec.tile_rows = {-1, 0};
   spec.geometries = {2, 3};
   const std::vector<SweepCase> cases = enumerate_cases(spec, 16);
   ASSERT_EQ(cases.size(), 4u);
   ASSERT_EQ(spec.num_cases(), 4u);
   EXPECT_EQ(cases[0].label(), "cg/none/d1/n16/t0");
   EXPECT_EQ(cases[1].label(), "cg/none/d1/n16/t0/3d");
-  EXPECT_EQ(cases[2].label(), "cg/none/d1/n16/t0/fused");
-  EXPECT_EQ(cases[3].label(), "cg/none/d1/n16/t0/fused/3d");
+  EXPECT_EQ(cases[2].label(), "cg/none/d1/n16/t0/b0");
+  EXPECT_EQ(cases[3].label(), "cg/none/d1/n16/t0/b0/3d");
   spec.geometries = {4};
   EXPECT_THROW(spec.validate(), TeaError);
 }
@@ -506,13 +494,13 @@ TEST(SweepGeometryAxis, RanksConverged2DAnd3DRowsAndRoundTrips) {
 TEST(SweepGeometryAxis, NoMgPcg3DCellIsEverSkipped) {
   // The last hole of the design-space matrix (ROADMAP "3-D mg-pcg"): the
   // mg-pcg × 3d cross-product contributes zero skipped cells across the
-  // engine and mesh axes, and each cell ranks as a converged row.
+  // tile and mesh axes, and each cell ranks as a converged row.
   InputDeck base = decks::hot_block(12, 1);
   base.solver.eps = 1e-8;
   SweepSpec spec;
   spec.solvers = {"mg-pcg"};
   spec.mesh_sizes = {8, 12};
-  spec.fused = {0, 1};
+  spec.tile_rows = {-1, 0};
   spec.geometries = {3};
   spec.ranks = 2;
   const SweepReport rep = run_sweep(base, spec);
@@ -524,8 +512,8 @@ TEST(SweepGeometryAxis, NoMgPcg3DCellIsEverSkipped) {
   }
   EXPECT_EQ(rep.ranking().size(), 4u);
 
-  // The engine axis stays pure speed in 3-D: fused and unfused mg-pcg
-  // cells run identical iteration counts and final norms.
+  // The tile axis stays pure speed in 3-D: both mg-pcg cells of a mesh
+  // run identical iteration counts and final norms.
   for (const std::size_t i : {0u, 2u}) {
     EXPECT_EQ(rep.cells[i + 1].iterations, rep.cells[i].iterations);
     EXPECT_EQ(rep.cells[i + 1].final_norm, rep.cells[i].final_norm);
@@ -534,23 +522,21 @@ TEST(SweepGeometryAxis, NoMgPcg3DCellIsEverSkipped) {
 
 TEST(SweepGeometryAxis, SkipPlumbingStillFiresForInvalidCombos) {
   // Retiring the mg-pcg × 3d skip must not have loosened the genuinely
-  // invalid combinations: tiled × unfused still records a reasoned skip
-  // (in both geometries), as do mg-pcg's preconditioner/depth/tile
-  // contracts.
+  // invalid combinations: an explicit tile height on mg-pcg still
+  // records a reasoned skip (in both geometries), as do its
+  // preconditioner/depth contracts.
   InputDeck base = decks::hot_block(12, 1);
   base.solver.eps = 1e-8;
   SweepSpec spec;
-  spec.solvers = {"cg", "mg-pcg"};
-  spec.fused = {0};
+  spec.solvers = {"mg-pcg"};
   spec.tile_rows = {4};
   spec.geometries = {2, 3};
   spec.ranks = 2;
   const SweepReport rep = run_sweep(base, spec);
-  ASSERT_EQ(rep.cells.size(), 4u);
+  ASSERT_EQ(rep.cells.size(), 2u);
   for (const SweepOutcome& c : rep.cells) {
     EXPECT_TRUE(c.skipped) << c.config.label();
-    EXPECT_NE(c.skip_reason.find("row tiling requires the fused"),
-              std::string::npos)
+    EXPECT_NE(c.skip_reason.find("do not row-tile"), std::string::npos)
         << c.skip_reason;
   }
 
@@ -590,10 +576,10 @@ TEST(SweepGeometryAxis, SlabCellMatches2DIterationCounts) {
 }
 
 
-TEST(SweepPrecisionAxis, EnumeratesAsEleventhInnermostAxis) {
+TEST(SweepPrecisionAxis, EnumeratesAsInnermostAxis) {
   SweepSpec spec;
   spec.solvers = {"cg"};
-  spec.fused = {0, 1};
+  spec.tile_rows = {-1, 0};
   spec.precisions = {"double", "fp32", "mixed"};  // alias canonicalises
   const std::vector<SweepCase> cases = enumerate_cases(spec, 16);
   ASSERT_EQ(cases.size(), 6u);
@@ -602,9 +588,9 @@ TEST(SweepPrecisionAxis, EnumeratesAsEleventhInnermostAxis) {
   EXPECT_EQ(cases[0].label(), "cg/none/d1/n16/t0");
   EXPECT_EQ(cases[1].label(), "cg/none/d1/n16/t0/f32");
   EXPECT_EQ(cases[2].label(), "cg/none/d1/n16/t0/mixed");
-  EXPECT_EQ(cases[3].label(), "cg/none/d1/n16/t0/fused");
-  EXPECT_EQ(cases[4].label(), "cg/none/d1/n16/t0/fused/f32");
-  EXPECT_EQ(cases[5].label(), "cg/none/d1/n16/t0/fused/mixed");
+  EXPECT_EQ(cases[3].label(), "cg/none/d1/n16/t0/b0");
+  EXPECT_EQ(cases[4].label(), "cg/none/d1/n16/t0/b0/f32");
+  EXPECT_EQ(cases[5].label(), "cg/none/d1/n16/t0/b0/mixed");
   EXPECT_EQ(cases[1].precision, "single");  // canonical name, not the alias
   spec.precisions = {"half"};
   EXPECT_THROW(spec.validate(), TeaError);

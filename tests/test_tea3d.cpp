@@ -11,6 +11,7 @@
 
 #include "comm/sim_comm.hpp"
 #include "ops/kernels.hpp"
+#include "ops/operator_view.hpp"
 #include "solvers/solver.hpp"
 #include "util/numeric.hpp"
 
@@ -273,7 +274,7 @@ TEST(Slab3D, SingleLayerMatches2DOperator) {
   // diag = 1 + ΣKx + ΣKy only.
   const double expect = 1.0 + 2 * (3.0 * (2.0 + 2.0) / (2 * 2.0 * 2.0)) +
                         2 * (3.0 * 0.5);
-  EXPECT_NEAR(kernels::diag_at(c, 5, 5, 0), expect, 1e-12);
+  EXPECT_NEAR(StencilView<3>(c).diag(5, 5, 0), expect, 1e-12);
 }
 
 TEST(Facade3D, DispatchesEverySolverIncludingChebyshev) {

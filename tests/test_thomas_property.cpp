@@ -4,6 +4,7 @@
 
 #include "comm/sim_comm.hpp"
 #include "ops/kernels.hpp"
+#include "ops/operator_view.hpp"
 #include "precon/preconditioner.hpp"
 #include "util/numeric.hpp"
 
@@ -66,7 +67,7 @@ TEST_P(ThomasProperty, MatchesDenseEliminationPerStrip) {
           rhs(len);
       for (int i = 0; i < len; ++i) {
         const int k = k0 + i;
-        diag[i] = kernels::diag_at(c, j, k);
+        diag[i] = StencilView<2>(c).diag(j, k, 0);
         if (i > 0) sub[i] = -c.ky()(j, k);
         if (i < len - 1) sup[i] = -c.ky()(j, k + 1);
         rhs[i] = r(j, k);

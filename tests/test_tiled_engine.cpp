@@ -1,6 +1,18 @@
+// The execution engine's contract: every native solve — whatever the
+// row-block height, thread count, rank count, geometry, operator form or
+// precision — is bitwise identical to the serial reference solver in
+// serial_reference.hpp: same iterates, iteration counts, recurrence
+// scalars and CommStats.  Plus the tile scheduler's primitives, the auto
+// tile height, and the tile axis of the deck, sweep and scaling model.
+
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <memory>
+#include <ostream>
+#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -12,8 +24,11 @@
 #include "model/scaling.hpp"
 #include "model/trace.hpp"
 #include "ops/kernels.hpp"
+#include "serial_reference.hpp"
+#include "solvers/cg.hpp"
 #include "solvers/solver.hpp"
 #include "test_helpers.hpp"
+#include "util/error.hpp"
 #include "util/parallel.hpp"
 
 #if defined(TEALEAF_HAVE_OPENMP)
@@ -75,335 +90,263 @@ TEST(TiledCluster, NumRowTilesEdgeCases) {
   EXPECT_EQ(SimCluster2D::num_row_tiles(0, 4), 0);    // empty range
 }
 
-// ---- tiled kernels vs their untiled forms (bitwise) ----------------------
+// ---- the engine against the serial reference (bitwise) -------------------
 
-/// Deterministic non-trivial fill of the solver work fields.
-void fill_work_fields(SimCluster2D& cl, int halo) {
-  cl.for_each_chunk([&](int r, Chunk2D& c) {
-    for (int k = -halo; k < c.ny() + halo; ++k) {
-      for (int j = -halo; j < c.nx() + halo; ++j) {
-        c.p()(j, k) = 0.02 * j - 0.015 * k + 0.1 * r;
-        c.r()(j, k) = 0.5 - 0.003 * j * k;
-        c.z()(j, k) = 0.25 * j + 0.01 * k;
-        c.sd()(j, k) = 0.01 * (j + 2 * k) + r;
-        c.rtemp()(j, k) = 1.0 / (1.0 + 0.1 * (j + k + 2 * halo));
-        c.w()(j, k) = 0.3 * k - 0.02 * j;
-      }
-    }
-  });
-}
-
-TEST(TiledKernels, ChebyStepTileMatchesUntiledForAllTileSizes) {
-  for (const bool diag : {false, true}) {
-    for (const int tile : {1, 2, 3, 5, 14, 100}) {
-      auto a = make_test_problem(28, 2, 3);
-      auto b = make_test_problem(28, 2, 3);
-      fill_work_fields(*a, 3);
-      fill_work_fields(*b, 3);
-      a->for_each_chunk([&](int, Chunk2D& c) {
-        kernels::cheby_step(c, FieldId::kRtemp, FieldId::kSd, FieldId::kZ,
-                            0.37, 1.21, diag, extended_bounds(c, 2));
-      });
-      // Tiled: stencil passes for every block, then the deferred edges —
-      // the order the fused engine runs them in (barrier between).
-      b->for_each_chunk([&](int, Chunk2D& c) {
-        const Bounds bb = extended_bounds(c, 2);
-        const int rows = bb.khi - bb.klo;
-        const int h = tile >= rows ? rows : tile;
-        const auto block = [&](int k0) {
-          Bounds tb = bb;
-          tb.klo = k0;
-          tb.khi = std::min(bb.khi, k0 + h);
-          return tb;
-        };
-        for (int k0 = bb.klo; k0 < bb.khi; k0 += h) {
-          kernels::cheby_step_tile(c, FieldId::kRtemp, FieldId::kSd,
-                                   FieldId::kZ, 0.37, 1.21, diag, bb,
-                                   block(k0));
-        }
-        for (int k0 = bb.klo; k0 < bb.khi; k0 += h) {
-          kernels::cheby_step_tile_edges(c, FieldId::kRtemp, FieldId::kSd,
-                                         FieldId::kZ, 0.37, 1.21, diag, bb,
-                                         block(k0));
-        }
-      });
-      for (const FieldId f :
-           {FieldId::kRtemp, FieldId::kSd, FieldId::kZ, FieldId::kW}) {
-        EXPECT_EQ(max_field_diff(*a, *b, f), 0.0)
-            << "diag=" << diag << " tile=" << tile;
-      }
-    }
+/// RAII thread-count override for one engine run.
+class ThreadScope {
+ public:
+  explicit ThreadScope(int threads) {
+#if defined(TEALEAF_HAVE_OPENMP)
+    saved_ = omp_get_max_threads();
+    omp_set_num_threads(threads);
+#else
+    (void)threads;
+#endif
   }
-}
-
-TEST(TiledKernels, RowReductionsMatchFullKernelsBitwise) {
-  auto a = make_test_problem(20, 2, 2);
-  auto b = make_test_problem(20, 2, 2);
-  fill_work_fields(*a, 2);
-  fill_work_fields(*b, 2);
-
-  for (int r = 0; r < a->nranks(); ++r) {
-    Chunk2D& ca = a->chunk(r);
-    Chunk2D& cb = b->chunk(r);
-    const Bounds in = interior_bounds(ca);
-
-    // dot
-    const double full_dot = kernels::dot(ca, FieldId::kP, FieldId::kZ);
-    const auto block = [&](int k0, int h) {
-      Bounds tb = in;
-      tb.klo = k0;
-      tb.khi = std::min(cb.ny(), k0 + h);
-      return tb;
-    };
-    std::vector<double> rows(static_cast<std::size_t>(cb.ny()), 0.0);
-    for (int k0 = 0; k0 < cb.ny(); k0 += 3) {
-      kernels::dot_rows(cb, FieldId::kP, FieldId::kZ, block(k0, 3),
-                        rows.data());
-    }
-    double tiled_dot = 0.0;
-    for (int k = 0; k < cb.ny(); ++k) tiled_dot += rows[k];
-    EXPECT_EQ(tiled_dot, full_dot);
-
-    // smvp_dot
-    const double full_pw = kernels::smvp_dot(ca, FieldId::kP, FieldId::kW, in);
-    for (int k0 = 0; k0 < cb.ny(); k0 += 4) {
-      kernels::smvp_dot_rows(cb, FieldId::kP, FieldId::kW, in, block(k0, 4),
-                             rows.data());
-    }
-    double tiled_pw = 0.0;
-    for (int k = 0; k < cb.ny(); ++k) tiled_pw += rows[k];
-    EXPECT_EQ(tiled_pw, full_pw);
-    EXPECT_EQ(max_field_diff(*a, *b, FieldId::kW), 0.0);
-
-    // smvp_dot2
-    const auto full_pair =
-        kernels::smvp_dot2(ca, FieldId::kZ, FieldId::kW, FieldId::kR, in);
-    std::vector<double> rows2(2 * static_cast<std::size_t>(cb.ny()), 0.0);
-    for (int k0 = 0; k0 < cb.ny(); k0 += 5) {
-      kernels::smvp_dot2_rows(cb, FieldId::kZ, FieldId::kW, FieldId::kR, in,
-                              block(k0, 5), rows2.data());
-    }
-    double t0 = 0.0, t1 = 0.0;
-    for (int k = 0; k < cb.ny(); ++k) {
-      t0 += rows2[2 * k];
-      t1 += rows2[2 * k + 1];
-    }
-    EXPECT_EQ(t0, full_pair.first);
-    EXPECT_EQ(t1, full_pair.second);
+  ~ThreadScope() {
+#if defined(TEALEAF_HAVE_OPENMP)
+    omp_set_num_threads(saved_);
+#endif
   }
-}
+  ThreadScope(const ThreadScope&) = delete;
+  ThreadScope& operator=(const ThreadScope&) = delete;
 
-TEST(TiledKernels, CalcUrDotRowsMatchesFullKernel) {
-  for (const PreconType precon :
-       {PreconType::kNone, PreconType::kJacobiDiag}) {
-    auto a = make_test_problem(20, 2, 2);
-    auto b = make_test_problem(20, 2, 2);
-    fill_work_fields(*a, 2);
-    fill_work_fields(*b, 2);
-    const double unfused = a->sum_over_chunks([&](int, Chunk2D& c) {
-      return kernels::calc_ur_dot(c, 0.61, precon);
-    });
-    const double tiled = b->sum_rows_over_chunks(
-        nullptr, 3, [&](int, Chunk2D& c, const Bounds& tb) {
-          kernels::calc_ur_dot_rows(c, 0.61, precon, tb, c.row_scratch());
-        });
-    EXPECT_EQ(tiled, unfused) << to_string(precon);
-    for (const FieldId f : {FieldId::kU, FieldId::kR}) {
-      EXPECT_EQ(max_field_diff(*a, *b, f), 0.0) << to_string(precon);
-    }
-  }
-}
-
-TEST(TiledKernels, JacobiTwoPhaseMatchesFusedSweep) {
-  auto a = make_test_problem(24, 2, 2);
-  auto b = make_test_problem(24, 2, 2);
-  a->exchange({FieldId::kU}, 1);
-  b->exchange({FieldId::kU}, 1);
-  const double full = a->sum_over_chunks(
-      [](int, Chunk2D& c) { return kernels::jacobi_iterate(c); });
-  const double tiled = [&] {
-    b->for_each_tile(nullptr, 5,
-                     [](int, Chunk2D& c) {
-                       Bounds bb = interior_bounds(c);
-                       bb.klo -= 1;
-                       bb.khi += 1;
-                       return bb;
-                     },
-                     [](int, Chunk2D& c, const Bounds& tb) {
-                       kernels::jacobi_save_rows(c, tb);
-                     });
-    return b->sum_rows_over_chunks(
-        nullptr, 5, [](int, Chunk2D& c, const Bounds& tb) {
-          kernels::jacobi_update_rows(c, tb, c.row_scratch());
-        });
-  }();
-  EXPECT_EQ(tiled, full);
-  EXPECT_EQ(max_field_diff(*a, *b, FieldId::kU), 0.0);
-}
-
-TEST(TiledCluster, SumRowsMatchesSumOverChunksBitwise) {
-  auto cl = make_test_problem(24, 5, 2);
-  const double untiled = cl->sum_over_chunks(
-      [](int, const Chunk2D& c) { return kernels::norm2_sq(c, FieldId::kU); });
-  cl->reset_stats();
-  for (const int tile : {1, 3, 24, 0}) {
-    double tiled = 0.0;
-    parallel_region([&](Team& t) {
-      const double v = cl->sum_rows_over_chunks(
-          &t, tile, [](int, Chunk2D& c, const Bounds& tb) {
-            kernels::dot_rows(c, FieldId::kU, FieldId::kU, tb,
-                              c.row_scratch());
-          });
-      t.single([&] { tiled = v; });
-    });
-    EXPECT_EQ(tiled, untiled) << "tile=" << tile;
-  }
-  EXPECT_EQ(cl->stats().reductions, 4);
-}
-
-// ---- whole-solver tiled-vs-untiled equivalence ---------------------------
-
-struct TiledCase {
-  SolverType type;
-  PreconType precon;
-  int halo_depth;
-  bool chrono;
-  int tile_rows;
-  // Shared by both configs: assembled cases check the tiled row-blocking
-  // against the untiled fused run on the CSR / SELL-C-σ SpMV paths.
-  OperatorKind op = OperatorKind::kStencil;
+ private:
+  int saved_ = 1;
 };
 
-class TiledEngineEquivalence : public ::testing::TestWithParam<TiledCase> {};
+enum class Variant { kCG, kChrono, kJacobi, kChebyshev, kPPCG, kPPCGPowers };
 
-TEST_P(TiledEngineEquivalence, BitwiseIdenticalToUntiledFused) {
-  const TiledCase tc = GetParam();
+/// One cell of the harness: a solver configuration × geometry × operator
+/// × precision, run by the engine at one tile height and thread count on
+/// one rank count.
+struct Cell {
+  Variant variant;
+  PreconType precon;
+  int dims;
+  OperatorKind op;
+  Precision precision;
+  int tile_rows;
+  int threads;
+  int ranks;
+};
+
+/// Tile heights: one block per rank, one-row blocks, a non-dividing
+/// height, auto, and taller than any chunk.
+constexpr int kTiles[] = {0, 1, 5, -1, 1000};
+/// (threads, ranks): ranks equal to, above and below the thread count.
+constexpr std::pair<int, int> kTeams[] = {{1, 1}, {1, 2}, {2, 1},
+                                          {2, 4}, {4, 2}, {4, 8}};
+constexpr Precision kPrecisions[] = {Precision::kDouble, Precision::kSingle,
+                                     Precision::kMixed};
+
+SolverConfig config_of(const Cell& c) {
   SolverConfig cfg;
-  cfg.type = tc.type;
-  cfg.precon = tc.precon;
-  cfg.halo_depth = tc.halo_depth;
-  cfg.fuse_cg_reductions = tc.chrono;
-  cfg.fuse_kernels = true;
-  cfg.op = tc.op;
-  cfg.eps = (tc.type == SolverType::kJacobi) ? 1e-5 : 1e-10;
-  cfg.max_iters = (tc.type == SolverType::kJacobi) ? 100000 : 10000;
+  cfg.precon = c.precon;
+  cfg.op = c.op;
+  cfg.precision = c.precision;
+  cfg.tile_rows = c.tile_rows;
+  cfg.eps = 1e-8;
+  cfg.max_iters = 300;
+  cfg.eigen_cg_iters = 8;
+  cfg.inner_steps = 5;
+  switch (c.variant) {
+    case Variant::kCG: cfg.type = SolverType::kCG; break;
+    case Variant::kChrono:
+      cfg.type = SolverType::kCG;
+      cfg.fuse_cg_reductions = true;
+      break;
+    case Variant::kJacobi:
+      cfg.type = SolverType::kJacobi;
+      cfg.eps = 1e-4;
+      cfg.max_iters = 400;
+      break;
+    case Variant::kChebyshev: cfg.type = SolverType::kChebyshev; break;
+    case Variant::kPPCG: cfg.type = SolverType::kPPCG; break;
+    case Variant::kPPCGPowers:
+      cfg.type = SolverType::kPPCG;
+      cfg.halo_depth = 3;
+      break;
+  }
+  return cfg;
+}
 
-  auto a = make_test_problem(32, 4, std::max(2, tc.halo_depth), 8.0);
-  auto b = make_test_problem(32, 4, std::max(2, tc.halo_depth), 8.0);
-  testing::install_operator(*a, tc.op);
-  testing::install_operator(*b, tc.op);
-  SolverConfig tiled_cfg = cfg;
-  tiled_cfg.tile_rows = tc.tile_rows;
-  const SolveStats su = run_solver(*a, cfg);
-  const SolveStats st = run_solver(*b, tiled_cfg);
+/// Every valid solver × preconditioner × geometry × operator combination;
+/// precision and tile height rotate through their values cell by cell,
+/// and (threads, ranks) once per run of five cells, so every value of
+/// each meets many solvers and every tile height meets every team shape.
+std::vector<Cell> engine_cells() {
+  std::vector<Cell> cells;
+  int i = 0;
+  for (const Variant v :
+       {Variant::kCG, Variant::kChrono, Variant::kJacobi,
+        Variant::kChebyshev, Variant::kPPCG, Variant::kPPCGPowers}) {
+    for (const PreconType precon :
+         {PreconType::kNone, PreconType::kJacobiDiag,
+          PreconType::kJacobiBlock}) {
+      for (const int dims : {2, 3}) {
+        for (const OperatorKind op :
+             {OperatorKind::kStencil, OperatorKind::kCsr,
+              OperatorKind::kSellCSigma}) {
+          const auto [threads, ranks] = kTeams[(i / 5) % 6];
+          const Cell c{v, precon, dims, op, kPrecisions[i % 3], kTiles[i % 5],
+                       threads, ranks};
+          try {
+            (void)config_of(c).validated();
+          } catch (const TeaError&) {
+            continue;  // a combination the solver contract rejects
+          }
+          cells.push_back(c);
+          ++i;
+        }
+      }
+    }
+  }
+  return cells;
+}
 
-  ASSERT_TRUE(su.converged);
-  ASSERT_TRUE(st.converged);
-  // The tiled engine only re-blocks the row loops: per-row arithmetic and
-  // the row/rank-ordered reductions are shared with the untiled fused
-  // path, so everything must match exactly.
-  EXPECT_EQ(st.outer_iters, su.outer_iters);
-  EXPECT_EQ(st.inner_steps, su.inner_steps);
-  EXPECT_EQ(st.spmv_applies, su.spmv_applies);
-  EXPECT_EQ(st.eigen_cg_iters, su.eigen_cg_iters);
-  EXPECT_EQ(st.initial_norm, su.initial_norm);
-  EXPECT_EQ(st.final_norm, su.final_norm);
-  EXPECT_EQ(max_field_diff(*a, *b, FieldId::kU), 0.0);
+std::string cell_name(const Cell& c) {
+  static const char* const kVariants[] = {"cg",        "chrono", "jacobi",
+                                          "chebyshev", "ppcg",   "ppcg_d3"};
+  std::string name = std::string(kVariants[static_cast<int>(c.variant)]) +
+                     "_" + to_string(c.precon) + "_" +
+                     std::to_string(c.dims) + "d_" +
+                     (c.op == OperatorKind::kSellCSigma ? "sell"
+                                                        : to_string(c.op)) +
+                     "_" + to_string(c.precision) + "_b" +
+                     (c.tile_rows < 0 ? std::string("auto")
+                                      : std::to_string(c.tile_rows)) +
+                     "_t" + std::to_string(c.threads) + "_r" +
+                     std::to_string(c.ranks);
+  return name;
+}
 
-  // Tiling changes the schedule, never the data motion.
-  EXPECT_EQ(a->stats().exchange_calls, b->stats().exchange_calls);
-  EXPECT_EQ(a->stats().messages, b->stats().messages);
-  EXPECT_EQ(a->stats().message_bytes, b->stats().message_bytes);
-  EXPECT_EQ(a->stats().reductions, b->stats().reductions);
+void PrintTo(const Cell& c, std::ostream* os) { *os << cell_name(c); }
+
+std::unique_ptr<SimCluster> make_problem(const Cell& c) {
+  auto cl = c.dims == 3 ? testing::make_test_problem_3d(8, c.ranks, 3, 4.0)
+                        : make_test_problem(20, c.ranks, 3, 6.0);
+  testing::install_operator(*cl, c.op);
+  return cl;
+}
+
+class EngineVsReference : public ::testing::TestWithParam<Cell> {};
+
+TEST_P(EngineVsReference, BitwiseIdentical) {
+  const Cell c = GetParam();
+  const SolverConfig cfg = config_of(c);
+  auto ref = make_problem(c);
+  auto eng = make_problem(c);
+  const SolveStats rs = testing::reference::run(*ref, cfg);
+  SolveStats es;
+  {
+    ThreadScope threads(c.threads);
+    es = run_solver(*eng, cfg);
+  }
+  ASSERT_GT(rs.spmv_applies, 1);  // the cell did real work
+  EXPECT_EQ(es.converged, rs.converged);
+  EXPECT_EQ(es.breakdown, rs.breakdown);
+  EXPECT_EQ(es.outer_iters, rs.outer_iters);
+  EXPECT_EQ(es.inner_steps, rs.inner_steps);
+  EXPECT_EQ(es.spmv_applies, rs.spmv_applies);
+  EXPECT_EQ(es.eigen_cg_iters, rs.eigen_cg_iters);
+  EXPECT_EQ(es.refine_steps, rs.refine_steps);
+  EXPECT_EQ(es.eigmin, rs.eigmin);
+  EXPECT_EQ(es.eigmax, rs.eigmax);
+  EXPECT_EQ(es.initial_norm, rs.initial_norm);
+  EXPECT_EQ(es.final_norm, rs.final_norm);
+  EXPECT_EQ(max_field_diff(*ref, *eng, FieldId::kU), 0.0);
+  // The schedule never changes the data motion.
+  EXPECT_EQ(eng->stats().exchange_calls, ref->stats().exchange_calls);
+  EXPECT_EQ(eng->stats().messages, ref->stats().messages);
+  EXPECT_EQ(eng->stats().message_bytes, ref->stats().message_bytes);
+  EXPECT_EQ(eng->stats().reductions, ref->stats().reductions);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllSolversAndTileSizes, TiledEngineEquivalence,
-    ::testing::Values(
-        // One-row tiles, non-dividing tiles, tile >= chunk rows.
-        TiledCase{SolverType::kJacobi, PreconType::kNone, 1, false, 1},
-        TiledCase{SolverType::kJacobi, PreconType::kNone, 1, false, 7},
-        TiledCase{SolverType::kCG, PreconType::kNone, 1, false, 1},
-        TiledCase{SolverType::kCG, PreconType::kNone, 1, false, 7},
-        TiledCase{SolverType::kCG, PreconType::kNone, 1, false, 1000},
-        TiledCase{SolverType::kCG, PreconType::kJacobiDiag, 1, false, 5},
-        TiledCase{SolverType::kCG, PreconType::kJacobiBlock, 1, false, 5},
-        TiledCase{SolverType::kCG, PreconType::kNone, 1, true, 7},
-        TiledCase{SolverType::kCG, PreconType::kJacobiDiag, 1, true, 3},
-        TiledCase{SolverType::kCG, PreconType::kJacobiBlock, 1, true, 6},
-        TiledCase{SolverType::kChebyshev, PreconType::kNone, 1, false, 5},
-        TiledCase{SolverType::kChebyshev, PreconType::kJacobiDiag, 1, false,
-                  4},
-        TiledCase{SolverType::kPPCG, PreconType::kNone, 1, false, 5},
-        TiledCase{SolverType::kPPCG, PreconType::kJacobiDiag, 1, false, 3},
-        TiledCase{SolverType::kPPCG, PreconType::kNone, 4, false, 5},
-        TiledCase{SolverType::kPPCG, PreconType::kJacobiDiag, 4, false, 1},
-        // Assembled operators: row-blocked SpMV over CSR / SELL-C-σ must
-        // stay bitwise identical to the untiled fused run, including the
-        // deferred-edge schedule at awkward tile heights.
-        TiledCase{SolverType::kJacobi, PreconType::kNone, 1, false, 3,
-                  OperatorKind::kCsr},
-        TiledCase{SolverType::kCG, PreconType::kNone, 1, false, 1,
-                  OperatorKind::kCsr},
-        TiledCase{SolverType::kCG, PreconType::kJacobiBlock, 1, false, 5,
-                  OperatorKind::kCsr},
-        TiledCase{SolverType::kCG, PreconType::kJacobiDiag, 1, true, 7,
-                  OperatorKind::kCsr},
-        TiledCase{SolverType::kChebyshev, PreconType::kNone, 1, false, 4,
-                  OperatorKind::kCsr},
-        TiledCase{SolverType::kPPCG, PreconType::kJacobiDiag, 1, false, 5,
-                  OperatorKind::kCsr},
-        TiledCase{SolverType::kCG, PreconType::kNone, 1, false, 7,
-                  OperatorKind::kSellCSigma},
-        TiledCase{SolverType::kCG, PreconType::kJacobiBlock, 1, false, 3,
-                  OperatorKind::kSellCSigma},
-        TiledCase{SolverType::kChebyshev, PreconType::kJacobiDiag, 1, false, 5,
-                  OperatorKind::kSellCSigma},
-        TiledCase{SolverType::kPPCG, PreconType::kNone, 1, false, 1000,
-                  OperatorKind::kSellCSigma}),
-    [](const auto& info) {
-      const TiledCase& tc = info.param;
-      std::string name = std::string(to_string(tc.type)) + "_" +
-                         to_string(tc.precon) + "_d" +
-                         std::to_string(tc.halo_depth) + "_b" +
-                         std::to_string(tc.tile_rows);
-      if (tc.chrono) name += "_chrono";
-      if (tc.op == OperatorKind::kCsr) name += "_csr";
-      if (tc.op == OperatorKind::kSellCSigma) name += "_sell";
-      return name;
-    });
+    AllSolversPreconsGeometriesOperators, EngineVsReference,
+    ::testing::ValuesIn(engine_cells()),
+    [](const auto& info) { return cell_name(info.param); });
 
-// ---- 2-D scheduling: more threads than simulated ranks -------------------
+TEST(EngineVsReference, CellsCoverEveryAxisValue) {
+  const std::vector<Cell> cells = engine_cells();
+  std::set<std::pair<int, int>> tile_threads;
+  std::set<std::pair<int, int>> variant_precision;
+  std::set<std::pair<int, int>> teams;
+  for (const Cell& c : cells) {
+    tile_threads.insert({c.tile_rows, c.threads});
+    variant_precision.insert(
+        {static_cast<int>(c.variant), static_cast<int>(c.precision)});
+    teams.insert({c.threads, c.ranks});
+  }
+  EXPECT_EQ(tile_threads.size(), 5u * 3u);
+  EXPECT_EQ(variant_precision.size(), 6u * 3u);
+  EXPECT_EQ(teams.size(), std::size(kTeams));
+}
 
-TEST(TiledScheduling, MoreThreadsThanRanksStaysBitwiseIdentical) {
-#if defined(TEALEAF_HAVE_OPENMP)
-  // Reference on the current thread count, then rerun tiled with the team
-  // deliberately oversubscribed past the rank count so the (rank,
-  // row-block) 2-D schedule engages.
-  SolverConfig cfg;
-  cfg.type = SolverType::kCG;
-  cfg.fuse_kernels = true;
-  cfg.eps = 1e-10;
-
-  auto a = make_test_problem(32, 2, 2, 8.0);
-  const SolveStats su = run_solver(*a, cfg);
-  ASSERT_TRUE(su.converged);
-
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(5);  // > 2 ranks → flat (rank, block) pairs
-  auto b = make_test_problem(32, 2, 2, 8.0);
-  SolverConfig tiled = cfg;
-  tiled.tile_rows = 3;
-  const SolveStats st = run_solver(*b, tiled);
-  omp_set_num_threads(saved);
-
-  ASSERT_TRUE(st.converged);
-  EXPECT_EQ(st.outer_iters, su.outer_iters);
-  EXPECT_EQ(st.final_norm, su.final_norm);
-  EXPECT_EQ(max_field_diff(*a, *b, FieldId::kU), 0.0);
-#else
-  GTEST_SKIP() << "OpenMP disabled: the team never exceeds one thread";
-#endif
+TEST(EngineVsReference, CGRecurrenceScalarsBitwiseIdentical) {
+  // rro and every (α, β) of the classic recurrence — the scalars that
+  // steer the whole solve and feed the eigenvalue estimates — per
+  // iteration, against the reference, across preconditioners, geometries,
+  // operators, tile heights and team shapes.
+  int i = 0;
+  for (const PreconType precon : {PreconType::kNone, PreconType::kJacobiDiag,
+                                  PreconType::kJacobiBlock}) {
+    for (const int dims : {2, 3}) {
+      for (const OperatorKind op :
+           {OperatorKind::kStencil, OperatorKind::kCsr,
+            OperatorKind::kSellCSigma}) {
+        const auto [threads, ranks] = kTeams[i % 6];
+        const Cell c{Variant::kCG, precon, dims, op, Precision::kDouble,
+                     kTiles[i++ % 5], threads, ranks};
+        auto ref = make_problem(c);
+        auto eng = make_problem(c);
+        constexpr int kIters = 8;
+        std::vector<double> ref_rr;
+        CGRecurrence ref_rec;
+        double rr = testing::reference::cg_setup(*ref, precon);
+        ref_rr.push_back(rr);
+        for (int it = 0; it < kIters; ++it) {
+          bool broke = false;
+          rr = testing::reference::cg_iteration(*ref, precon, rr, &ref_rec,
+                                                broke);
+          ASSERT_FALSE(broke);
+          ref_rr.push_back(rr);
+        }
+        std::vector<double> eng_rr;
+        CGRecurrence eng_rec;
+        const int tile =
+            c.tile_rows < 0 ? auto_tile_rows(machines::spruce_hybrid(),
+                                             eng->chunk(0).nx(),
+                                             eng->halo_depth())
+                            : c.tile_rows;
+        {
+          ThreadScope scope(threads);
+          parallel_region([&](Team& t) {
+            std::vector<double> mine_rr;
+            CGRecurrence mine;
+            bool broke = false;
+            double e = cg_setup(*eng, precon, t);
+            mine_rr.push_back(e);
+            for (int it = 0; it < kIters; ++it) {
+              e = cg_iteration(*eng, precon, tile, e, &mine, broke, t);
+              mine_rr.push_back(e);
+            }
+            t.single([&] {
+              eng_rr = mine_rr;
+              eng_rec = mine;
+            });
+          });
+        }
+        const std::string where = cell_name(c);
+        EXPECT_EQ(eng_rr, ref_rr) << where;
+        EXPECT_EQ(eng_rec.alphas, ref_rec.alphas) << where;
+        EXPECT_EQ(eng_rec.betas, ref_rec.betas) << where;
+        EXPECT_EQ(eng->stats().reductions, ref->stats().reductions) << where;
+        EXPECT_EQ(max_field_diff(*ref, *eng, FieldId::kP), 0.0) << where;
+      }
+    }
+  }
 }
 
 // ---- auto tile derivation ------------------------------------------------
@@ -423,108 +366,60 @@ TEST(AutoTile, DerivesFromMachineL2AndFallsBack) {
   EXPECT_EQ(auto_tile_rows(no_l2, 512, 2), 64);
 }
 
-TEST(AutoTile, AutoConfigSolvesBitwiseIdenticalToUntiled) {
-  SolverConfig cfg;
-  cfg.type = SolverType::kCG;
-  cfg.fuse_kernels = true;
-  cfg.eps = 1e-10;
-  auto a = make_test_problem(32, 4, 2, 8.0);
-  auto b = make_test_problem(32, 4, 2, 8.0);
-  SolverConfig auto_cfg = cfg;
-  auto_cfg.tile_rows = -1;
-  const SolveStats su = run_solver(*a, cfg);
-  const SolveStats st = run_solver(*b, auto_cfg);
-  ASSERT_TRUE(su.converged && st.converged);
-  EXPECT_EQ(st.outer_iters, su.outer_iters);
-  EXPECT_EQ(st.final_norm, su.final_norm);
-  EXPECT_EQ(max_field_diff(*a, *b, FieldId::kU), 0.0);
-}
+// ---- iteration cap ------------------------------------------------------
 
-// ---- batched fused Jacobi ------------------------------------------------
-
-TEST(JacobiBatch, BatchedFusedMatchesUnfusedAcrossBatchBoundaries) {
-  // Enough iterations to cross several 16-sweep batches; the fused path
-  // must stop on exactly the same sweep as the unfused path.
-  SolverConfig cfg;
-  cfg.type = SolverType::kJacobi;
-  cfg.eps = 1e-6;
-  cfg.max_iters = 100000;
-  auto a = make_test_problem(24, 2, 2, 4.0);
-  auto b = make_test_problem(24, 2, 2, 4.0);
-  SolverConfig fused = cfg;
-  fused.fuse_kernels = true;
-  const SolveStats su = run_solver(*a, cfg);
-  const SolveStats sf = run_solver(*b, fused);
-  ASSERT_TRUE(su.converged);
-  ASSERT_TRUE(sf.converged);
-  ASSERT_GT(su.outer_iters, 16) << "problem too easy to cross a batch";
-  EXPECT_EQ(sf.outer_iters, su.outer_iters);
-  EXPECT_EQ(sf.initial_norm, su.initial_norm);
-  EXPECT_EQ(sf.final_norm, su.final_norm);
-  EXPECT_EQ(max_field_diff(*a, *b, FieldId::kU), 0.0);
-  EXPECT_EQ(a->stats().reductions, b->stats().reductions);
-  EXPECT_EQ(a->stats().message_bytes, b->stats().message_bytes);
-}
-
-TEST(JacobiBatch, MaxItersStopsMidBatch) {
+TEST(JacobiCap, MaxItersStopsExactly) {
   SolverConfig cfg;
   cfg.type = SolverType::kJacobi;
   cfg.eps = 1e-14;
-  cfg.max_iters = 21;  // not a multiple of the 16-sweep batch
-  cfg.fuse_kernels = true;
+  cfg.max_iters = 21;
   auto cl = make_test_problem(24, 2, 2, 4.0);
   const SolveStats st = run_solver(*cl, cfg);
   EXPECT_FALSE(st.converged);
   EXPECT_EQ(st.outer_iters, 21);
 }
 
-// ---- sweep seventh axis --------------------------------------------------
+// ---- sweep tile axis ----------------------------------------------------
 
-TEST(SweepTileAxis, EnumeratesAsSeventhInnermostAxis) {
+TEST(SweepTileAxis, EnumeratesTileHeightsWithLabels) {
   SweepSpec spec;
   spec.solvers = {"cg"};
-  spec.fused = {0, 1};
-  spec.tile_rows = {0, 8};
+  spec.tile_rows = {-1, 0, 8};
   const std::vector<SweepCase> cases = enumerate_cases(spec, 16);
-  ASSERT_EQ(cases.size(), 4u);
-  ASSERT_EQ(spec.num_cases(), 4u);
-  EXPECT_EQ(cases[0].label(), "cg/none/d1/n16/t0");
-  EXPECT_EQ(cases[1].label(), "cg/none/d1/n16/t0/b8");
-  EXPECT_EQ(cases[2].label(), "cg/none/d1/n16/t0/fused");
-  EXPECT_EQ(cases[3].label(), "cg/none/d1/n16/t0/fused/b8");
+  ASSERT_EQ(cases.size(), 3u);
+  ASSERT_EQ(spec.num_cases(), 3u);
+  EXPECT_EQ(cases[0].label(), "cg/none/d1/n16/t0");  // auto: no suffix
+  EXPECT_EQ(cases[1].label(), "cg/none/d1/n16/t0/b0");
+  EXPECT_EQ(cases[2].label(), "cg/none/d1/n16/t0/b8");
   spec.tile_rows = {-2};
   EXPECT_THROW(spec.validate(), TeaError);
 }
 
-TEST(SweepTileAxis, TiledCellsMatchUntiledAndRoundTrip) {
+TEST(SweepTileAxis, TiledCellsMatchAndRoundTrip) {
   InputDeck base = decks::hot_block(16, 1);
   base.solver.eps = 1e-8;
   SweepSpec spec;
   spec.solvers = {"cg", "mg-pcg"};
-  spec.fused = {0, 1};
-  spec.tile_rows = {0, 4};
+  spec.tile_rows = {-1, 0, 4};
   spec.ranks = 2;
   const SweepReport rep = run_sweep(base, spec);
-  ASSERT_EQ(rep.cells.size(), 8u);
+  ASSERT_EQ(rep.cells.size(), 6u);
 
-  // cg: unfused, unfused/b4 (skipped), fused, fused/b4.
-  EXPECT_FALSE(rep.cells[0].skipped);
-  EXPECT_TRUE(rep.cells[1].skipped);  // tiling needs the fused engine
-  EXPECT_FALSE(rep.cells[2].skipped);
+  // cg: every tile height runs and solves bitwise alike.
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(rep.cells[i].skipped) << i;
+    EXPECT_TRUE(rep.cells[i].converged) << i;
+    EXPECT_EQ(rep.cells[i].iterations, rep.cells[0].iterations) << i;
+    EXPECT_EQ(rep.cells[i].final_norm, rep.cells[0].final_norm) << i;
+    EXPECT_EQ(rep.cells[i].message_bytes, rep.cells[0].message_bytes) << i;
+  }
+  EXPECT_EQ(rep.cells[2].config.tile_rows, 4);
+
+  // mg-pcg: auto and one-block run; an explicit height is skipped.
   EXPECT_FALSE(rep.cells[3].skipped);
-  EXPECT_EQ(rep.cells[3].config.tile_rows, 4);
-  EXPECT_TRUE(rep.cells[3].converged);
-  EXPECT_EQ(rep.cells[3].iterations, rep.cells[0].iterations);
-  EXPECT_EQ(rep.cells[3].final_norm, rep.cells[2].final_norm);
-  EXPECT_EQ(rep.cells[3].message_bytes, rep.cells[2].message_bytes);
-
-  // mg-pcg: fused runs now; its tiled cells are skipped.
   EXPECT_FALSE(rep.cells[4].skipped);
   EXPECT_TRUE(rep.cells[5].skipped);
-  EXPECT_FALSE(rep.cells[6].skipped);
-  EXPECT_TRUE(rep.cells[7].skipped);
-  EXPECT_TRUE(rep.cells[6].converged);
-  EXPECT_EQ(rep.cells[6].iterations, rep.cells[4].iterations);
+  EXPECT_EQ(rep.cells[4].iterations, rep.cells[3].iterations);
 
   // The tile column survives both serialisation round trips.
   const SweepReport csv_back = SweepReport::from_csv_lines(rep.to_csv_lines());
@@ -544,7 +439,7 @@ TEST(SweepTileAxis, TiledCellsMatchUntiledAndRoundTrip) {
 TEST(TileDeck, TileRowsKnobParsesAndRoundTrips) {
   const InputDeck deck = InputDeck::parse_string(
       "*tea\nx_cells=16\ny_cells=16\nend_step=1\n"
-      "tl_fuse_kernels\ntl_tile_rows=24\n"
+      "tl_tile_rows=24\n"
       "sweep_solvers=cg\nsweep_tile_rows=0,16,64\n"
       "state 1 density=1.0 energy=1.0\n*endtea\n");
   EXPECT_EQ(deck.solver.tile_rows, 24);
@@ -554,13 +449,19 @@ TEST(TileDeck, TileRowsKnobParsesAndRoundTrips) {
   EXPECT_EQ(back.sweep.tile_rows, deck.sweep.tile_rows);
 }
 
-TEST(TileDeck, AutoTileRowsRoundTrips) {
+TEST(TileDeck, AutoTileRowsIsTheDefaultAndRoundTrips) {
   const InputDeck deck = InputDeck::parse_string(
       "*tea\nx_cells=16\ny_cells=16\nend_step=1\n"
       "tl_tile_rows=auto\nstate 1 density=1.0 energy=1.0\n*endtea\n");
   EXPECT_EQ(deck.solver.tile_rows, -1);
+  EXPECT_EQ(SolverConfig{}.tile_rows, -1);
   const InputDeck back = InputDeck::parse_string(deck.to_string());
   EXPECT_EQ(back.solver.tile_rows, -1);
+  const InputDeck one_block = InputDeck::parse_string(
+      "*tea\nx_cells=16\ny_cells=16\nend_step=1\n"
+      "tl_tile_rows=0\nstate 1 density=1.0 energy=1.0\n*endtea\n");
+  EXPECT_EQ(InputDeck::parse_string(one_block.to_string()).solver.tile_rows,
+            0);
 }
 
 TEST(TileDeck, MistypedKnobFailsWithSuggestion) {
@@ -578,7 +479,7 @@ TEST(TileDeck, MistypedKnobFailsWithSuggestion) {
   }
   EXPECT_THROW(InputDeck::parse_string(
                    "*tea\nx_cells=8\ny_cells=8\nend_step=1\n"
-                   "sweep_fuse=1\nstate 1 density=1 energy=1\n*endtea\n"),
+                   "sweep_tile_row=1\nstate 1 density=1 energy=1\n*endtea\n"),
                TeaError);
 }
 
@@ -598,16 +499,16 @@ TEST(TileDeck, KnobOutsideTeaBlockIsRejected) {
 TEST(TileDeck, BooleanFlagsAcceptExplicitValues) {
   const InputDeck off = InputDeck::parse_string(
       "*tea\nx_cells=8\ny_cells=8\nend_step=1\n"
-      "tl_fuse_kernels=0\nstate 1 density=1 energy=1\n*endtea\n");
-  EXPECT_FALSE(off.solver.fuse_kernels);
+      "tl_cg_fuse_reductions=0\nstate 1 density=1 energy=1\n*endtea\n");
+  EXPECT_FALSE(off.solver.fuse_cg_reductions);
   const InputDeck on = InputDeck::parse_string(
       "*tea\nx_cells=8\ny_cells=8\nend_step=1\n"
-      "tl_fuse_kernels=true\nstate 1 density=1 energy=1\n*endtea\n");
-  EXPECT_TRUE(on.solver.fuse_kernels);
+      "tl_cg_fuse_reductions=true\nstate 1 density=1 energy=1\n*endtea\n");
+  EXPECT_TRUE(on.solver.fuse_cg_reductions);
   EXPECT_THROW(InputDeck::parse_string(
                    "*tea\nx_cells=8\ny_cells=8\nend_step=1\n"
-                   "tl_fuse_kernels=maybe\nstate 1 density=1 energy=1\n"
-                   "*endtea\n"),
+                   "tl_cg_fuse_reductions=maybe\nstate 1 density=1 "
+                   "energy=1\n*endtea\n"),
                TeaError);
 }
 
@@ -616,6 +517,7 @@ TEST(TileDeck, BooleanFlagsAcceptExplicitValues) {
 TEST(TiledModel, BlockedBytesVariantSpeedsUpCacheFittingTiles) {
   SolverConfig cfg;
   cfg.type = SolverType::kJacobi;
+  cfg.tile_rows = 0;  // one block per rank: streams like an untiled sweep
   SolveStats stats;
   stats.outer_iters = 200;
   SolverRunSummary run = SolverRunSummary::from(cfg, stats, 1024);
@@ -643,20 +545,16 @@ TEST(TiledModel, BlockedBytesVariantSpeedsUpCacheFittingTiles) {
   }(), 1));
 }
 
-TEST(TiledModel, SummaryRecordsEffectiveTileHeightAndResolvesAuto) {
-  // An unfused config runs untiled whatever the knob says: the summary
-  // must record that, or the model would price phantom cache blocking.
+TEST(TiledModel, SummaryRecordsTileHeightAndResolvesAuto) {
   SolverConfig cfg;
   cfg.type = SolverType::kJacobi;
   cfg.tile_rows = 128;
-  cfg.fuse_kernels = false;
   SolveStats stats;
   stats.outer_iters = 100;
-  EXPECT_EQ(SolverRunSummary::from(cfg, stats, 256).tile_rows, 0);
+  EXPECT_EQ(SolverRunSummary::from(cfg, stats, 256).tile_rows, 128);
 
   // `auto` stays symbolic in the summary and resolves inside the model
   // against the modelled chunk width, like the real engine does.
-  cfg.fuse_kernels = true;
   cfg.tile_rows = -1;
   SolverRunSummary run = SolverRunSummary::from(cfg, stats, 1024);
   EXPECT_EQ(run.tile_rows, -1);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/args.hpp"
 #include "util/error.hpp"
 #include "util/numeric.hpp"
@@ -47,6 +49,21 @@ TEST(Args, ExplicitBooleanValues) {
   EXPECT_FALSE(args.get_bool("b", true));
   EXPECT_TRUE(args.get_bool("c", false));
   EXPECT_FALSE(args.get_bool("d", true));
+}
+
+TEST(Args, RetiredFlagsFailNamingTheReplacement) {
+  // design_space_sweep and heat3d reject --fused / --pipeline this way.
+  const char* argv[] = {"prog", "--fused", "0,1", "--tiles", "8"};
+  Args args(5, argv);
+  try {
+    args.reject_retired("fused", "--tiles");
+    FAIL() << "--fused must be rejected";
+  } catch (const TeaError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("--fused was retired"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("use --tiles"), std::string::npos) << msg;
+  }
+  EXPECT_NO_THROW(args.reject_retired("pipeline", "--tiles"));
 }
 
 TEST(Require, ThrowsWithContext) {
