@@ -85,11 +85,7 @@ void SolveSession::prepare(OperatorKind op) {
     kernels::init_u_u0(c);
     kernels::init_conduction(c, deck_.coefficient, rx, ry, rz);
   });
-  if (op == OperatorKind::kStencil) {
-    cl.for_each_chunk([](int, Chunk& c) { c.clear_assembled_operator(); });
-    return;
-  }
-  if (!deck_.matrix_file.empty()) {
+  if (op != OperatorKind::kStencil && !deck_.matrix_file.empty()) {
     // Externally supplied operator: one global matrix, so the whole mesh
     // must live in one chunk (no halo exchange can refresh loaded rows).
     TEA_REQUIRE(shape_.nranks == 1,
@@ -102,6 +98,7 @@ void SolveSession::prepare(OperatorKind op) {
           io::csr_from_triplets(trips, cl.chunk(0)));
       loaded_matrix_path_ = deck_.matrix_file;
     }
+    cl.chunk(0).clear_assembled_operator();  // no old SELL beside the new
     auto sell = op == OperatorKind::kSellCSigma
                     ? std::make_shared<const SellMatrix>(
                           sell_from_csr(*loaded_matrix_))
@@ -109,15 +106,11 @@ void SolveSession::prepare(OperatorKind op) {
     cl.chunk(0).set_assembled_operator(op, loaded_matrix_, std::move(sell));
     return;
   }
-  // Assemble the just-built conduction stencil; coefficients change every
-  // prepare, so this cannot be memoised across resets.
-  cl.for_each_chunk([&](int, Chunk& c) {
-    auto csr = std::make_shared<const CsrMatrix>(assemble_from_stencil(c));
-    auto sell = op == OperatorKind::kSellCSigma
-                    ? std::make_shared<const SellMatrix>(sell_from_csr(*csr))
-                    : std::shared_ptr<const SellMatrix>{};
-    c.set_assembled_operator(op, std::move(csr), std::move(sell));
-  });
+  // Assemble the just-built conduction stencil: coefficients change every
+  // prepare, so the values are rebuilt each time, while each chunk keeps
+  // its index pattern (a function of its geometry) across prepares and
+  // resets.
+  cl.for_each_chunk([&](int, Chunk& c) { assemble_operator(c, op); });
 }
 
 SolveStats SolveSession::solve_prepared_team(const SolverConfig& cfg,

@@ -151,9 +151,10 @@ class SolveSession {
   /// `prepare(op)` additionally installs the operator representation the
   /// coming solve will traverse: kStencil clears any assembled matrix;
   /// kCsr / kSellCSigma assemble the freshly built conduction stencil into
-  /// CSR (and SELL-C-σ) per chunk — or, when the deck names a
-  /// matrix_file, load that Matrix Market operator instead (single-rank,
-  /// 2-D; the file is parsed once and memoised by path).
+  /// CSR (and SELL-C-σ) per chunk — values rebuilt every prepare on the
+  /// chunk's kept index pattern, old values released first — or, when the
+  /// deck names a matrix_file, load that Matrix Market operator instead
+  /// (single-rank, 2-D; the file is parsed once and memoised by path).
   void prepare() { prepare(deck_.solver.op); }
   void prepare(OperatorKind op);
   [[nodiscard]] SolveStats solve_prepared_team(const SolverConfig& cfg,

@@ -168,11 +168,14 @@ CsrMatrix csr_from_triplets(const TripletMatrix& m, const Chunk& c) {
     rows[static_cast<std::size_t>(e.row)].push_back(e);
   }
 
+  require_int32_offsets(c.extent(), c.dims(), c.halo_depth());
   const auto& geom = c.u();  // any field: all share one geometry
+  auto pattern = std::make_shared<SparsePattern>();
+  SparsePattern& p = *pattern;
+  p.nrows = m.n;
+  p.row_ptr.assign(static_cast<std::size_t>(m.n) + 1, 0);
+  p.cols.reserve(m.entries.size());
   CsrMatrix csr;
-  csr.nrows = m.n;
-  csr.row_ptr.assign(static_cast<std::size_t>(m.n) + 1, 0);
-  csr.cols.reserve(m.entries.size());
   csr.vals.reserve(m.entries.size());
   int reach = 1;
   for (std::int64_t r = 0; r < m.n; ++r) {
@@ -189,14 +192,15 @@ CsrMatrix csr_from_triplets(const TripletMatrix& m, const Chunk& c) {
     for (const auto& e : row) {
       const int jc = static_cast<int>(e.col % nx);
       const int kc = static_cast<int>(e.col / nx);
-      csr.cols.push_back(static_cast<std::int64_t>(geom.index(jc, kc, 0)));
+      p.cols.push_back(static_cast<std::int32_t>(geom.index(jc, kc, 0)));
       csr.vals.push_back(e.val);
       reach = std::max(reach, std::abs(kc - kr));
     }
-    csr.row_ptr[static_cast<std::size_t>(r) + 1] =
+    p.row_ptr[static_cast<std::size_t>(r) + 1] =
         static_cast<std::int64_t>(csr.vals.size());
   }
-  csr.row_reach = reach;
+  p.row_reach = reach;
+  csr.pattern = std::move(pattern);
   return csr;
 }
 

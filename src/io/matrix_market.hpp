@@ -49,10 +49,10 @@ void save_matrix_market(const std::string& path, const TripletMatrix& m);
 
 /// Lay the triplets out as a CsrMatrix over the chunk's interior:
 /// row r ↔ cell (j = r % nx, k = r / nx), column indices rewritten to
-/// Field storage offsets, each row ordered diagonal-first then ascending
-/// column (the diag-first slot is what the kernels' pairwise accumulation
-/// and the preconditioners rely on).  Requires a 2-D chunk whose interior
-/// is exactly n cells.
+/// 32-bit Field storage offsets (require_int32_offsets), each row ordered
+/// diagonal-first then ascending column (the diag-first slot is what the
+/// kernels' pairwise accumulation and the preconditioners rely on).
+/// Requires a 2-D chunk whose interior is exactly n cells.
 [[nodiscard]] CsrMatrix csr_from_triplets(const TripletMatrix& m,
                                           const Chunk& c);
 

@@ -42,12 +42,17 @@ const Field<double>& Chunk::field(FieldId id) const {
 
 void Chunk::enable_fp32() {
   if (fp32_enabled()) return;
-  // Mirror the fp64 ctor allocation exactly (same halo, kKz only in 3-D)
-  // so both banks share one geometry and the assembled-operator column
-  // offsets index either.  The zero-fill is the NUMA first touch.
+  // Mirror the fp64 ctor allocation (same halo, kKz only in 3-D) so both
+  // banks share one geometry and the assembled-operator column offsets
+  // index either.  The material fields only feed the fp64 operator build
+  // and energy recovery, so they get no fp32 twin.  The zero-fill is the
+  // NUMA first touch.
   fields32_.resize(kNumFieldIds);
   for (std::size_t i = 0; i < fields32_.size(); ++i) {
     if (mesh_.dims != 3 && i == idx(FieldId::kKz)) continue;
+    if (i == idx(FieldId::kDensity) || i == idx(FieldId::kEnergy0) ||
+        i == idx(FieldId::kEnergy1))
+      continue;
     fields32_[i] = (mesh_.dims == 3)
                        ? Field<float>::make3d(extent_.nx, extent_.ny,
                                               extent_.nz, halo_depth_, 0.0f)
@@ -60,7 +65,8 @@ Field<float>& Chunk::field32(FieldId id) {
   TEA_REQUIRE(fp32_enabled(), "fp32 field bank not enabled on this chunk");
   Field<float>& f = fields32_[idx(id)];
   TEA_REQUIRE(f.size() > 0,
-              "field not allocated for this geometry (kKz is 3-D only)");
+              "fp32 field not allocated (kKz is 3-D only; density and "
+              "energy have no fp32 twin)");
   return f;
 }
 
@@ -68,7 +74,8 @@ const Field<float>& Chunk::field32(FieldId id) const {
   TEA_REQUIRE(fp32_enabled(), "fp32 field bank not enabled on this chunk");
   const Field<float>& f = fields32_[idx(id)];
   TEA_REQUIRE(f.size() > 0,
-              "field not allocated for this geometry (kKz is 3-D only)");
+              "fp32 field not allocated (kKz is 3-D only; density and "
+              "energy have no fp32 twin)");
   return f;
 }
 

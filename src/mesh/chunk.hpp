@@ -87,7 +87,9 @@ class Chunk {
   /// fp32 twin of field(): the second storage bank of the mixed-precision
   /// execution layer.  Same geometry and halo as the fp64 bank (identical
   /// strides, so assembled-operator column offsets index both), allocated
-  /// lazily by enable_fp32() — double-only runs never pay for it.
+  /// lazily by enable_fp32() — double-only runs never pay for it.  The
+  /// material fields (density, energies) have no fp32 twin: no fp32
+  /// kernel reads them.
   [[nodiscard]] Field<float>& field32(FieldId id);
   [[nodiscard]] const Field<float>& field32(FieldId id) const;
 
@@ -98,9 +100,9 @@ class Chunk {
   template <class T>
   [[nodiscard]] const Field<T>& field_t(FieldId id) const;
 
-  /// Allocate the fp32 field bank (no-op when already allocated).  Like
-  /// the fp64 ctor fill, the zero-fill is the NUMA first touch: call it
-  /// from the thread that owns this rank.
+  /// Allocate the fp32 field bank, material fields excepted (no-op when
+  /// already allocated).  Like the fp64 ctor fill, the zero-fill is the
+  /// NUMA first touch: call it from the thread that owns this rank.
   void enable_fp32();
   [[nodiscard]] bool fp32_enabled() const { return !fields32_.empty(); }
 
@@ -158,7 +160,8 @@ class Chunk {
 
   /// Install an assembled operator (CSR always required; the SELL-C-σ
   /// re-layout only for kSellCSigma).  The matrices are shared, immutable
-  /// snapshots — re-assemble after coefficients change.
+  /// snapshots — re-assemble (ops::assemble_operator) after coefficients
+  /// change; their index pattern outlives the values.
   void set_assembled_operator(OperatorKind kind,
                               std::shared_ptr<const CsrMatrix> csr,
                               std::shared_ptr<const SellMatrix> sell = {}) {
@@ -191,6 +194,11 @@ class Chunk {
     op_kind_ = OperatorKind::kStencil;
     csr_.reset();
     sell_.reset();
+    clear_assembled_operator32();
+  }
+
+  /// Drops only the fp32 twins (ahead of their re-assembly).
+  void clear_assembled_operator32() {
     csr32_.reset();
     sell32_.reset();
   }

@@ -225,6 +225,13 @@ constexpr double kBytesJacobiBlocked = 40.0;
 
 }  // namespace
 
+double assembled_smvp_bytes(double nnz_per_row, Precision precision) {
+  const double value = precision == Precision::kDouble ? 8.0 : 4.0;
+  constexpr double kColumn = 4.0;      // std::int32_t column offset
+  constexpr double kRowPointer = 8.0;  // std::int64_t row_ptr entry
+  return nnz_per_row * (value + kColumn) + kRowPointer + 2.0 * value;
+}
+
 double ScalingModel::run_seconds(const SolverRunSummary& run,
                                  int nodes) const {
   // Reduced-precision solves stream 4-byte elements through every
@@ -237,12 +244,14 @@ double ScalingModel::run_seconds(const SolverRunSummary& run,
   const bool block = run.precon == PreconType::kJacobiBlock;
   // 7-point stencil sweeps stream the extra Kz face-coefficient field.
   const double kface = (mesh_.dims == 3) ? 8.0 : 0.0;
-  // Assembled operators (nnz_per_row > 0) stream the stored row — 8-byte
-  // value + 8-byte column index per entry — plus the source read and
-  // destination write, instead of the stencil's fixed coefficient fields.
-  const double bytes_smvp = run.nnz_per_row > 0.0
-                                ? 16.0 * run.nnz_per_row + 16.0
-                                : kBytesSmvp + kface;
+  // Assembled operators (nnz_per_row > 0) stream the stored row plus the
+  // source read and destination write, instead of the stencil's fixed
+  // coefficient fields.  Their index bytes keep full width at every
+  // precision, so the solver-phase byte scale is divided back out.
+  const double bytes_smvp =
+      run.nnz_per_row > 0.0
+          ? assembled_smvp_bytes(run.nnz_per_row, run.precision) / fscale
+          : kBytesSmvp + kface;
   const double precon_bytes =
       block ? kBytesBlockApply : kBytesDiagApply + kface;
   const double diag_extra = diag ? 16.0 + kface : 0.0;

@@ -38,6 +38,13 @@ struct ScalingSeries {
 [[nodiscard]] ScalingSeries measured_series(
     std::string label, const std::vector<ScalingPoint>& points);
 
+/// Bytes one assembled SpMV streams per row at `precision`: per stored
+/// entry a value of the storage width (8 B fp64, 4 B fp32) plus a 4-byte
+/// column offset, an 8-byte row pointer, and the source read and
+/// destination write at the storage width.
+[[nodiscard]] double assembled_smvp_bytes(double nnz_per_row,
+                                          Precision precision);
+
 /// Projects a measured solver run onto a modelled machine across node
 /// counts (DESIGN.md §2.2).  Kernel cost is memory-bandwidth bound with a
 /// per-sweep launch overhead and an LLC capacity boost (CPU); halo

@@ -1,17 +1,97 @@
 #include "ops/sparse_matrix.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
+#include <string>
 
 #include "mesh/chunk.hpp"
 #include "util/error.hpp"
 
 namespace tealeaf {
 
+namespace {
+
+int stencil_arity(const Chunk& c) { return c.dims() == 3 ? 7 : 5; }
+
+/// Values `csr_vals` (CSR order on `p`) re-laid out in `p.sell`.
 template <class T>
-CsrMatrixT<T> assemble_from_stencil_t(const Chunk& c) {
+std::vector<T> sell_values(const SparsePattern& p,
+                           const std::vector<T>& csr_vals) {
+  TEA_ASSERT(p.sell.has_value(), "pattern carries no SELL-C-sigma layout");
+  const SellLayout& s = *p.sell;
+  std::vector<T> vals(s.cols.size(), T(0));
+  for (std::int64_t r = 0; r < p.nrows; ++r) {
+    const std::int64_t base = s.row_base(r);
+    const std::int64_t src = p.row_ptr[r];
+    for (int i = 0; i < s.row_len[r]; ++i)
+      vals[base + static_cast<std::int64_t>(i) * s.chunk_c] = csr_vals[src + i];
+  }
+  return vals;
+}
+
+}  // namespace
+
+void require_int32_offsets(const ChunkExtent& extent, int dims,
+                           int halo_depth) {
+  const std::int64_t h2 = 2 * static_cast<std::int64_t>(halo_depth);
+  const std::int64_t elements =
+      (extent.nx + h2) * (extent.ny + h2) * (dims == 3 ? extent.nz + h2 : 1);
+  constexpr std::int64_t kLimit = std::numeric_limits<std::int32_t>::max();
+  TEA_REQUIRE(elements <= kLimit,
+              "assembled operators store 32-bit column offsets: this "
+              "chunk's field storage of " +
+                  std::to_string(elements) +
+                  " elements exceeds the INT32_MAX limit of " +
+                  std::to_string(kLimit) +
+                  " (decompose over more ranks or use the stencil)");
+}
+
+std::shared_ptr<SparsePattern> stencil_pattern(const Chunk& c) {
+  require_int32_offsets(c.extent(), c.dims(), c.halo_depth());
   const int nx = c.nx(), ny = c.ny(), nz = c.nz();
   const bool three_d = c.dims() == 3;
+  const Field<double>& geom = c.u();  // any field: all share one geometry
+  const int per_row = stencil_arity(c);
+
+  auto p = std::make_shared<SparsePattern>();
+  p->stencil = true;
+  p->nrows = static_cast<std::int64_t>(nx) * ny * nz;
+  p->row_ptr.resize(p->nrows + 1);
+  p->cols.resize(p->nrows * per_row);
+  // One inter-plane column hop moves the flattened row index by ny; one
+  // inter-row hop moves it by 1.
+  p->row_reach = three_d ? ny : 1;
+  for (std::int64_t r = 0; r <= p->nrows; ++r) p->row_ptr[r] = r * per_row;
+  const auto at = [&](int j, int k, int l) {
+    return static_cast<std::int32_t>(geom.index(j, k, l));
+  };
+  std::int32_t* col = p->cols.data();
+  for (int l = 0; l < nz; ++l) {
+    for (int k = 0; k < ny; ++k) {
+      for (int j = 0; j < nx; ++j) {
+        *col++ = at(j, k, l);
+        *col++ = at(j, k + 1, l);
+        *col++ = at(j, k - 1, l);
+        *col++ = at(j + 1, k, l);
+        *col++ = at(j - 1, k, l);
+        if (three_d) {
+          *col++ = at(j, k, l + 1);
+          *col++ = at(j, k, l - 1);
+        }
+      }
+    }
+  }
+  return p;
+}
+
+template <class T>
+std::vector<T> stencil_values(const Chunk& c, const SparsePattern& p) {
+  const int nx = c.nx(), ny = c.ny(), nz = c.nz();
+  const bool three_d = c.dims() == 3;
+  TEA_REQUIRE(p.stencil && p.nrows == static_cast<std::int64_t>(nx) * ny * nz &&
+                  p.nnz() == p.nrows * stencil_arity(c),
+              "stencil values need the chunk's own stencil pattern");
   // The float instantiation assembles from the fp32 coefficient bank in
   // float arithmetic, preserving the stencil's entry order and diagonal
   // association — the bitwise stencil ≡ CSR contract, per scalar.
@@ -19,22 +99,9 @@ CsrMatrixT<T> assemble_from_stencil_t(const Chunk& c) {
   const Field<T>& ky = c.field_t<T>(FieldId::kKy);
   const Field<T>& kz =
       three_d ? c.field_t<T>(FieldId::kKz) : c.field_t<T>(FieldId::kKx);
-  const Field<T>& geom = kx;  // any field: all share one geometry
-  const int per_row = three_d ? 7 : 5;
 
-  CsrMatrixT<T> m;
-  m.nrows = static_cast<std::int64_t>(nx) * ny * nz;
-  m.row_ptr.resize(m.nrows + 1);
-  m.cols.resize(m.nrows * per_row);
-  m.vals.resize(m.nrows * per_row);
-  // One inter-plane column hop moves the flattened row index by ny; one
-  // inter-row hop moves it by 1.  Boundary-face zeros are kept, so every
-  // row has the full stencil arity and the pairwise accumulation in the
-  // kernels never regroups.
-  m.row_reach = three_d ? ny : 1;
-
-  std::int64_t e = 0;
-  for (std::int64_t r = 0; r <= m.nrows; ++r) m.row_ptr[r] = r * per_row;
+  std::vector<T> vals(static_cast<std::size_t>(p.nnz()));
+  T* v = vals.data();
   for (int l = 0; l < nz; ++l) {
     for (int k = 0; k < ny; ++k) {
       for (int j = 0; j < nx; ++j) {
@@ -44,27 +111,31 @@ CsrMatrixT<T> assemble_from_stencil_t(const Chunk& c) {
         // ((1 + (ky_hi+ky_lo)) + (kx_hi+kx_lo)) [+ (kz_hi+kz_lo)].
         T diag = T(1) + (ky_hi + ky_lo) + (kx_hi + kx_lo);
         if (three_d) diag += kz(j, k, l + 1) + kz(j, k, l);
-        m.cols[e] = static_cast<std::int64_t>(geom.index(j, k, l));
-        m.vals[e++] = diag;
-        m.cols[e] = static_cast<std::int64_t>(geom.index(j, k + 1, l));
-        m.vals[e++] = -ky_hi;
-        m.cols[e] = static_cast<std::int64_t>(geom.index(j, k - 1, l));
-        m.vals[e++] = -ky_lo;
-        m.cols[e] = static_cast<std::int64_t>(geom.index(j + 1, k, l));
-        m.vals[e++] = -kx_hi;
-        m.cols[e] = static_cast<std::int64_t>(geom.index(j - 1, k, l));
-        m.vals[e++] = -kx_lo;
+        *v++ = diag;
+        *v++ = -ky_hi;
+        *v++ = -ky_lo;
+        *v++ = -kx_hi;
+        *v++ = -kx_lo;
         if (three_d) {
-          m.cols[e] = static_cast<std::int64_t>(geom.index(j, k, l + 1));
-          m.vals[e++] = -kz(j, k, l + 1);
-          m.cols[e] = static_cast<std::int64_t>(geom.index(j, k, l - 1));
-          m.vals[e++] = -kz(j, k, l);
+          *v++ = -kz(j, k, l + 1);
+          *v++ = -kz(j, k, l);
         }
       }
     }
   }
-  TEA_ASSERT(e == static_cast<std::int64_t>(m.vals.size()),
-             "assembled entry count mismatch");
+  return vals;
+}
+
+template std::vector<double> stencil_values<double>(const Chunk&,
+                                                    const SparsePattern&);
+template std::vector<float> stencil_values<float>(const Chunk&,
+                                                  const SparsePattern&);
+
+template <class T>
+CsrMatrixT<T> assemble_from_stencil_t(const Chunk& c) {
+  CsrMatrixT<T> m;
+  m.pattern = stencil_pattern(c);
+  m.vals = stencil_values<T>(c, *m.pattern);
   return m;
 }
 
@@ -75,10 +146,8 @@ CsrMatrix assemble_from_stencil(const Chunk& c) {
   return assemble_from_stencil_t<double>(c);
 }
 
-template <class T>
-double SellMatrixT<T>::fill_ratio() const {
-  const std::int64_t padded =
-      slice_ptr.empty() ? 0 : slice_ptr.back();
+double SellLayout::fill_ratio() const {
+  const std::int64_t padded = slice_ptr.empty() ? 0 : slice_ptr.back();
   const std::int64_t true_nnz =
       std::accumulate(row_len.begin(), row_len.end(), std::int64_t{0});
   return true_nnz > 0 ? static_cast<double>(padded) /
@@ -86,58 +155,63 @@ double SellMatrixT<T>::fill_ratio() const {
                       : 1.0;
 }
 
-template double SellMatrixT<double>::fill_ratio() const;
-template double SellMatrixT<float>::fill_ratio() const;
-
-template <class T>
-SellMatrixT<T> sell_from_csr_t(const CsrMatrixT<T>& csr, int C, int sigma) {
+void add_sell_layout(SparsePattern& p, int C, int sigma) {
   TEA_REQUIRE(C > 0 && sigma > 0, "SELL-C-sigma needs positive C and sigma");
-  SellMatrixT<T> s;
+  SellLayout s;
   s.chunk_c = C;
   s.sigma = sigma;
-  s.nrows = csr.nrows;
-  s.row_reach = csr.row_reach;
-  s.row_len.resize(csr.nrows);
-  for (std::int64_t r = 0; r < csr.nrows; ++r)
-    s.row_len[r] = csr.row_len(r);
+  s.row_len.resize(p.nrows);
+  for (std::int64_t r = 0; r < p.nrows; ++r) s.row_len[r] = p.row_len(r);
 
   // Sort rows by descending length inside each σ window — a storage
   // permutation only (stable, so equal-length rows keep sweep order and a
   // stencil-assembled matrix gets the identity permutation).
-  std::vector<std::int64_t> order(csr.nrows);
-  std::iota(order.begin(), order.end(), std::int64_t{0});
-  for (std::int64_t w = 0; w < csr.nrows; w += sigma) {
-    const std::int64_t hi = std::min<std::int64_t>(w + sigma, csr.nrows);
+  std::vector<std::int32_t> order(p.nrows);
+  std::iota(order.begin(), order.end(), std::int32_t{0});
+  for (std::int64_t w = 0; w < p.nrows; w += sigma) {
+    const std::int64_t hi = std::min<std::int64_t>(w + sigma, p.nrows);
     std::stable_sort(order.begin() + w, order.begin() + hi,
-                     [&](std::int64_t a, std::int64_t b) {
+                     [&](std::int32_t a, std::int32_t b) {
                        return s.row_len[a] > s.row_len[b];
                      });
   }
-  s.slot.resize(csr.nrows);
-  for (std::int64_t p = 0; p < csr.nrows; ++p) s.slot[order[p]] = p;
+  s.slot.resize(p.nrows);
+  for (std::int64_t q = 0; q < p.nrows; ++q)
+    s.slot[order[q]] = static_cast<std::int32_t>(q);
 
-  const std::int64_t nslices = (csr.nrows + C - 1) / C;
+  const std::int64_t nslices = (p.nrows + C - 1) / C;
   s.slice_ptr.resize(nslices + 1);
   s.slice_ptr[0] = 0;
   for (std::int64_t sl = 0; sl < nslices; ++sl) {
     int width = 0;
-    for (std::int64_t p = sl * C;
-         p < std::min<std::int64_t>((sl + 1) * C, csr.nrows); ++p)
-      width = std::max(width, s.row_len[order[p]]);
+    for (std::int64_t q = sl * C;
+         q < std::min<std::int64_t>((sl + 1) * C, p.nrows); ++q)
+      width = std::max(width, s.row_len[order[q]]);
     s.slice_ptr[sl + 1] =
         s.slice_ptr[sl] + static_cast<std::int64_t>(width) * C;
   }
   s.cols.assign(s.slice_ptr[nslices], 0);
-  s.vals.assign(s.slice_ptr[nslices], T(0));
-  for (std::int64_t r = 0; r < csr.nrows; ++r) {
-    const std::int64_t p = s.slot[r];
-    const std::int64_t base = s.slice_ptr[p / C] + p % C;
-    const std::int64_t src = csr.row_ptr[r];
-    for (int i = 0; i < s.row_len[r]; ++i) {
-      s.cols[base + static_cast<std::int64_t>(i) * C] = csr.cols[src + i];
-      s.vals[base + static_cast<std::int64_t>(i) * C] = csr.vals[src + i];
-    }
+  for (std::int64_t r = 0; r < p.nrows; ++r) {
+    const std::int64_t base = s.row_base(r);
+    const std::int64_t src = p.row_ptr[r];
+    for (int i = 0; i < s.row_len[r]; ++i)
+      s.cols[base + static_cast<std::int64_t>(i) * C] = p.cols[src + i];
   }
+  p.sell = std::move(s);
+}
+
+template <class T>
+SellMatrixT<T> sell_from_csr_t(const CsrMatrixT<T>& csr, int C, int sigma) {
+  SellMatrixT<T> s;
+  const SparsePattern& p = *csr.pattern;
+  if (p.sell && p.sell->chunk_c == C && p.sell->sigma == sigma) {
+    s.pattern = csr.pattern;
+  } else {
+    auto laid = std::make_shared<SparsePattern>(p);
+    add_sell_layout(*laid, C, sigma);
+    s.pattern = std::move(laid);
+  }
+  s.vals = sell_values(*s.pattern, csr.vals);
   return s;
 }
 
@@ -148,6 +222,49 @@ template SellMatrixT<float> sell_from_csr_t<float>(const CsrMatrixT<float>&,
 
 SellMatrix sell_from_csr(const CsrMatrix& csr, int C, int sigma) {
   return sell_from_csr_t<double>(csr, C, sigma);
+}
+
+void assemble_operator(Chunk& c, OperatorKind op) {
+  const bool sell = op == OperatorKind::kSellCSigma;
+  // The stencil pattern is a function of the chunk's geometry alone:
+  // keep the installed one unless it is foreign (a loaded matrix) or
+  // carries the wrong layout, and drop every old value array before the
+  // new ones are built.
+  std::shared_ptr<const SparsePattern> p =
+      c.csr() != nullptr ? c.csr()->pattern : nullptr;
+  c.clear_assembled_operator();
+  if (op == OperatorKind::kStencil) return;
+  if (p == nullptr || !p->stencil || p->sell.has_value() != sell ||
+      p->nrows != static_cast<std::int64_t>(c.nx()) * c.ny() * c.nz()) {
+    std::shared_ptr<SparsePattern> fresh = stencil_pattern(c);
+    if (sell) add_sell_layout(*fresh);
+    p = std::move(fresh);
+  }
+  auto csr = std::make_shared<CsrMatrix>();
+  csr->pattern = p;
+  csr->vals = stencil_values<double>(c, *p);
+  std::shared_ptr<SellMatrix> sell_m;
+  if (sell) {
+    sell_m = std::make_shared<SellMatrix>();
+    sell_m->pattern = p;
+    sell_m->vals = sell_values(*p, csr->vals);
+  }
+  c.set_assembled_operator(op, std::move(csr), std::move(sell_m));
+}
+
+void assemble_operator32(Chunk& c) {
+  if (c.op_kind() == OperatorKind::kStencil) return;
+  c.clear_assembled_operator32();
+  auto csr32 = std::make_shared<CsrMatrix32>();
+  csr32->pattern = c.csr()->pattern;
+  csr32->vals = stencil_values<float>(c, *csr32->pattern);
+  std::shared_ptr<SellMatrix32> sell32;
+  if (c.op_kind() == OperatorKind::kSellCSigma) {
+    sell32 = std::make_shared<SellMatrix32>();
+    sell32->pattern = c.sell()->pattern;
+    sell32->vals = sell_values(*sell32->pattern, csr32->vals);
+  }
+  c.set_assembled_operator32(std::move(csr32), std::move(sell32));
 }
 
 }  // namespace tealeaf

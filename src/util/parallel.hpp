@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <thread>
 
 #include "util/error.hpp"
@@ -292,6 +293,10 @@ inline void phase_barrier(const Team* team) {
 /// Parallel loop over [begin, end).  `body(i)` must be safe to run
 /// concurrently for distinct i.  Falls back to serial without OpenMP.
 ///
+/// Exceptions do not cross the region boundary (which would terminate the
+/// process): the first one thrown is kept, iterations not yet started
+/// are skipped, and it is rethrown on the calling thread after the loop.
+///
 /// Explicitly single-level: when called from inside an active parallel
 /// region (where a nested `omp parallel for` would oversubscribe or
 /// silently serialise depending on OMP_NESTED), the `if` clause forces a
@@ -300,8 +305,20 @@ inline void phase_barrier(const Team* team) {
 template <class Body>
 void parallel_for(std::int64_t begin, std::int64_t end, const Body& body) {
 #if defined(TEALEAF_HAVE_OPENMP)
+  std::exception_ptr first;
+  std::atomic<bool> failed{false};
 #pragma omp parallel for schedule(static) if (!omp_in_parallel())
-  for (std::int64_t i = begin; i < end; ++i) body(i);
+  for (std::int64_t i = begin; i < end; ++i) {
+    if (failed.load(std::memory_order_relaxed)) continue;
+    try {
+      body(i);
+    } catch (...) {
+#pragma omp critical(tealeaf_parallel_for_error)
+      if (!first) first = std::current_exception();
+      failed.store(true, std::memory_order_relaxed);
+    }
+  }
+  if (first) std::rethrow_exception(first);
 #else
   for (std::int64_t i = begin; i < end; ++i) body(i);
 #endif

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#if defined(TEALEAF_HAVE_OPENMP)
+#include <omp.h>
+#endif
+
 #include "comm/gather.hpp"
 #include "comm/sim_comm.hpp"
 
@@ -177,6 +181,44 @@ TEST(Stats, ResetClearsEverything) {
   EXPECT_EQ(cl.stats().reductions, 0);
   EXPECT_EQ(cl.stats().exchange_calls, 0);
   EXPECT_TRUE(cl.stats().messages_by_depth.empty());
+}
+
+// ---- standalone collectives: exceptions reach the caller ----------------
+
+TEST(ForEachChunk, ThrowingBodyReachesTheCallersCatch) {
+#if defined(TEALEAF_HAVE_OPENMP)
+  // Ranks spread over several threads, so the throw happens off the
+  // calling thread.
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(4);
+#endif
+  SimCluster2D cl(GlobalMesh2D(16, 16), 4, 1);
+  bool caught = false;
+  try {
+    cl.for_each_chunk([](int r, Chunk2D&) {
+      if (r == 2) throw TeaError("rank 2 failed");
+    });
+  } catch (const TeaError& e) {
+    caught = true;
+    EXPECT_STREQ(e.what(), "rank 2 failed");
+  }
+  EXPECT_TRUE(caught);
+  // Every rank throwing still surfaces exactly one exception...
+  EXPECT_THROW(
+      cl.for_each_chunk([](int, Chunk2D&) { throw TeaError("every rank"); }),
+      TeaError);
+  // ...and the cluster stays usable afterwards.
+  int visited = 0;
+  cl.for_each_chunk([&](int, Chunk2D&) {
+#if defined(TEALEAF_HAVE_OPENMP)
+#pragma omp atomic
+#endif
+    ++visited;
+  });
+  EXPECT_EQ(visited, 4);
+#if defined(TEALEAF_HAVE_OPENMP)
+  omp_set_num_threads(saved);
+#endif
 }
 
 }  // namespace

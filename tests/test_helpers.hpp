@@ -60,17 +60,7 @@ inline std::unique_ptr<SimCluster2D> make_test_problem(
 /// assembled SpMV paths, or drop back to the matrix-free stencil.  This
 /// is the test-side stand-in for SolveSession::prepare.
 inline void install_operator(SimCluster& cl, OperatorKind op) {
-  cl.for_each_chunk([&](int, Chunk& c) {
-    if (op == OperatorKind::kStencil) {
-      c.clear_assembled_operator();
-      return;
-    }
-    auto csr = std::make_shared<const CsrMatrix>(assemble_from_stencil(c));
-    auto sell = op == OperatorKind::kSellCSigma
-                    ? std::make_shared<const SellMatrix>(sell_from_csr(*csr))
-                    : std::shared_ptr<const SellMatrix>{};
-    c.set_assembled_operator(op, std::move(csr), std::move(sell));
-  });
+  cl.for_each_chunk([&](int, Chunk& c) { assemble_operator(c, op); });
 }
 
 /// Relative residual ‖u0 − A·u‖ / ‖u0‖ over the whole cluster, computed

@@ -137,6 +137,39 @@ TEST(ScalingModelTest, ReducedPrecisionPricesBelowFp64PerIteration) {
   EXPECT_LT(mixed, fp64);
 }
 
+TEST(ScalingModelTest, AssembledSpmvPricesStorageWidths) {
+  // 7-point rows: fp64 streams 7·(8 + 4) + 8 + 2·8 = 108 B, fp32
+  // 7·(4 + 4) + 8 + 2·4 = 72 B — the 4-byte column offsets and the row
+  // pointer do not shrink with the values.
+  EXPECT_EQ(assembled_smvp_bytes(7.0, Precision::kDouble), 108.0);
+  EXPECT_EQ(assembled_smvp_bytes(7.0, Precision::kSingle), 72.0);
+  EXPECT_EQ(assembled_smvp_bytes(7.0, Precision::kMixed), 72.0);
+
+  // The run prices the same bytes: with everything but the SpMV identical,
+  // an assembled fp32 run saves less against fp64 than the halved stencil
+  // coefficient traffic would.
+  SolverRunSummary run;
+  run.type = SolverType::kCG;
+  run.outer_iters = 4000;
+  run.mesh_n = 4000;
+  const ScalingModel model(machines::titan(),
+                           GlobalMesh2D(4000, 4000, 0, 10, 0, 10), 10);
+  const auto spmv_seconds = [&](Precision p) {
+    SolverRunSummary a = run;
+    a.precision = p;
+    a.nnz_per_row = 5.0;
+    SolverRunSummary none = a;
+    none.nnz_per_row = 0.0;
+    return model.run_seconds(a, 4) - model.run_seconds(none, 4);
+  };
+  // Assembled minus stencil SpMV bytes: fp64 84 − 32 = 52 B/cell; fp32
+  // 56 − 16 = 40 B/cell, i.e. 40/52 of the fp64 extra, not half of it.
+  const double fp64 = spmv_seconds(Precision::kDouble);
+  const double fp32 = spmv_seconds(Precision::kSingle);
+  EXPECT_GT(fp64, 0.0);
+  EXPECT_NEAR(fp32 / fp64, 40.0 / 52.0, 1e-9);
+}
+
 TEST(ExchangeCounts, MatchesSingleExchange) {
   const GlobalMesh2D mesh(30, 30);
   for (const int nranks : {1, 2, 4, 6, 9}) {

@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <type_traits>
 #include <sstream>
 #include <utility>
 #include <string>
@@ -25,6 +27,7 @@
 #include "model/machine.hpp"
 #include "model/scaling.hpp"
 #include "model/trace.hpp"
+#include "ops/operator_view.hpp"
 #include "ops/sparse_matrix.hpp"
 #include "server/routing.hpp"
 #include "server/solve_server.hpp"
@@ -125,19 +128,20 @@ TEST(AssembleFromStencil, LayoutMatchesTheBitwiseContract) {
   auto cl = make_test_problem(8, 1, 2, 4.0);
   const Chunk& c = cl->chunk(0);
   const CsrMatrix m = assemble_from_stencil(c);
-  ASSERT_EQ(m.nrows, 64);
+  const SparsePattern& p = *m.pattern;
+  ASSERT_EQ(p.nrows, 64);
   EXPECT_EQ(m.nnz(), 64 * 5);  // boundary zeros kept: full arity everywhere
   EXPECT_EQ(m.nnz_per_row(), 5.0);
-  EXPECT_EQ(m.row_reach, 1);  // 2-D: columns stay within adjacent rows
+  EXPECT_EQ(p.row_reach, 1);  // 2-D: columns stay within adjacent rows
 
   const Field<double>& geom = c.u();
   for (int k = 0; k < 8; ++k) {
     for (int j = 0; j < 8; ++j) {
       const std::int64_t r = k * 8 + j;
-      ASSERT_EQ(m.row_len(r), 5);
-      const std::int64_t e = m.row_ptr[r];
+      ASSERT_EQ(p.row_len(r), 5);
+      const std::int64_t e = p.row_ptr[r];
       // Entry 0 is the (positive) diagonal at the row's own cell.
-      EXPECT_EQ(m.cols[e], static_cast<std::int64_t>(geom.index(j, k, 0)));
+      EXPECT_EQ(p.cols[e], static_cast<std::int32_t>(geom.index(j, k, 0)));
       EXPECT_GT(m.vals[e], 0.0);
       // Off-diagonals are stored signed (≤ 0), zero exactly on the faces
       // that touch the physical boundary.
@@ -153,37 +157,40 @@ TEST(AssembleFromStencil, LayoutMatchesTheBitwiseContract) {
 TEST(AssembleFromStencil, ThreeDRowsReachAcrossPlanes) {
   auto cl = make_test_problem_3d(6, 1, 2, 4.0);
   const CsrMatrix m = assemble_from_stencil(cl->chunk(0));
-  EXPECT_EQ(m.nrows, 216);
+  EXPECT_EQ(m.pattern->nrows, 216);
   EXPECT_EQ(m.nnz_per_row(), 7.0);
   // One inter-plane hop moves the flattened (l·ny + k) row index by ny.
-  EXPECT_EQ(m.row_reach, 6);
+  EXPECT_EQ(m.pattern->row_reach, 6);
 }
 
 TEST(SellFromCsr, StoragePermutationPreservesEveryRowExactly) {
   auto cl = make_test_problem(12, 1, 2, 4.0);
   const CsrMatrix csr = assemble_from_stencil(cl->chunk(0));
   const SellMatrix s = sell_from_csr(csr, 8, 64);
+  const SparsePattern& cp = *csr.pattern;
+  const SellLayout& lay = s.layout();
 
-  ASSERT_EQ(s.nrows, csr.nrows);
-  EXPECT_EQ(s.chunk_c, 8);
-  EXPECT_EQ(s.sigma, 64);
-  EXPECT_EQ(s.row_reach, csr.row_reach);
+  ASSERT_EQ(s.pattern->nrows, cp.nrows);
+  EXPECT_EQ(lay.chunk_c, 8);
+  EXPECT_EQ(lay.sigma, 64);
+  EXPECT_EQ(s.pattern->row_reach, cp.row_reach);
   // Uniform row lengths: the σ sort is the identity and padding only
   // covers the ragged final slice (144 rows → 18 full slices, no pad).
   EXPECT_EQ(s.fill_ratio(), 1.0);
 
-  std::vector<int> seen(static_cast<std::size_t>(s.nrows), 0);
-  for (std::int64_t r = 0; r < s.nrows; ++r) {
-    ASSERT_EQ(s.row_len[r], csr.row_len(r));
-    const std::int64_t p = s.slot[r];
+  std::vector<int> seen(static_cast<std::size_t>(cp.nrows), 0);
+  for (std::int64_t r = 0; r < cp.nrows; ++r) {
+    ASSERT_EQ(lay.row_len[r], cp.row_len(r));
+    const std::int32_t p = lay.slot[r];
     ASSERT_GE(p, 0);
-    ASSERT_LT(p, s.nrows);
+    ASSERT_LT(p, cp.nrows);
     ++seen[static_cast<std::size_t>(p)];
-    const std::int64_t base = s.slice_ptr[p / s.chunk_c] + p % s.chunk_c;
-    for (int i = 0; i < s.row_len[r]; ++i) {
-      const std::int64_t q = base + static_cast<std::int64_t>(i) * s.chunk_c;
-      EXPECT_EQ(s.cols[q], csr.cols[csr.row_ptr[r] + i]);
-      EXPECT_EQ(s.vals[q], csr.vals[csr.row_ptr[r] + i]);
+    const std::int64_t base = lay.slice_ptr[p / lay.chunk_c] + p % lay.chunk_c;
+    EXPECT_EQ(base, lay.row_base(r));
+    for (int i = 0; i < lay.row_len[r]; ++i) {
+      const std::int64_t q = base + static_cast<std::int64_t>(i) * lay.chunk_c;
+      EXPECT_EQ(lay.cols[q], cp.cols[cp.row_ptr[r] + i]);
+      EXPECT_EQ(s.vals[q], csr.vals[cp.row_ptr[r] + i]);
     }
   }
   for (const int n : seen) EXPECT_EQ(n, 1);  // slot is a permutation
@@ -193,25 +200,155 @@ TEST(SellFromCsr, VariableRowLengthsSortWithinSigmaWindows) {
   // Ragged rows (FEM-like): row lengths 1..n within one σ window must be
   // stored descending so slice widths track the longest member, while the
   // slot map still finds every row's entries.
+  auto p = std::make_shared<SparsePattern>();
   CsrMatrix csr;
-  csr.nrows = 10;
-  csr.row_ptr.push_back(0);
-  for (std::int64_t r = 0; r < csr.nrows; ++r) {
+  p->nrows = 10;
+  p->row_ptr.push_back(0);
+  for (std::int64_t r = 0; r < p->nrows; ++r) {
     const int len = static_cast<int>(r % 5) + 1;
     for (int i = 0; i < len; ++i) {
-      csr.cols.push_back(r);  // columns don't matter for the layout
+      // Columns don't matter for the layout.
+      p->cols.push_back(static_cast<std::int32_t>(r));
       csr.vals.push_back(100.0 * static_cast<double>(r) + i);
     }
-    csr.row_ptr.push_back(static_cast<std::int64_t>(csr.vals.size()));
+    p->row_ptr.push_back(static_cast<std::int64_t>(csr.vals.size()));
   }
+  csr.pattern = p;
   const SellMatrix s = sell_from_csr(csr, 4, 8);
   EXPECT_GT(s.fill_ratio(), 1.0);  // ragged rows genuinely pad now
-  for (std::int64_t r = 0; r < csr.nrows; ++r) {
-    const std::int64_t base = s.slice_ptr[s.slot[r] / 4] + s.slot[r] % 4;
-    for (int i = 0; i < s.row_len[r]; ++i) {
+  const SellLayout& lay = s.layout();
+  for (std::int64_t r = 0; r < p->nrows; ++r) {
+    const std::int64_t base = lay.slice_ptr[lay.slot[r] / 4] + lay.slot[r] % 4;
+    for (int i = 0; i < lay.row_len[r]; ++i) {
       EXPECT_EQ(s.vals[base + static_cast<std::int64_t>(i) * 4],
-                csr.vals[csr.row_ptr[r] + i]);
+                csr.vals[p->row_ptr[r] + i]);
     }
+  }
+}
+
+// ---- storage contract: 32-bit offsets, one shared pattern ---------------
+
+template <class T>
+bool bitwise_equal(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+TEST(OperatorStorage, ColumnOffsetsAre32Bit) {
+  static_assert(std::is_same_v<decltype(SparsePattern::cols)::value_type,
+                               std::int32_t>);
+  static_assert(std::is_same_v<decltype(SellLayout::cols)::value_type,
+                               std::int32_t>);
+  static_assert(std::is_same_v<decltype(SellLayout::slot)::value_type,
+                               std::int32_t>);
+  static_assert(
+      std::is_same_v<decltype(detail::CsrCursor<float>::c), const std::int32_t*>);
+}
+
+TEST(OperatorStorage, RangeCheckRejectsOversizedGeometryFromTheExtents) {
+  // Checked on the extents alone: nothing the size of the geometry is
+  // allocated.  2-D storage (nx+2h)(ny+2h): 46340² = 2147395600 fits
+  // INT32_MAX, 46341² does not.
+  EXPECT_NO_THROW(require_int32_offsets(ChunkExtent{0, 0, 46338, 46338}, 2, 1));
+  EXPECT_THROW(require_int32_offsets(ChunkExtent{0, 0, 46339, 46339}, 2, 1),
+               TeaError);
+  // 3-D counts the z halo too: 1290³ fits, 1291³ does not.
+  EXPECT_NO_THROW(
+      require_int32_offsets(ChunkExtent{0, 0, 1288, 1288, 0, 1288}, 3, 1));
+  try {
+    require_int32_offsets(ChunkExtent{0, 0, 2048, 2048, 0, 2048}, 3, 2);
+    ADD_FAILURE() << "a 16 GB chunk passed the 32-bit offset check";
+  } catch (const TeaError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("INT32_MAX"), std::string::npos) << what;
+    EXPECT_NE(what.find("2147483647"), std::string::npos) << what;
+  }
+}
+
+TEST(OperatorStorage, MixedSolveSharesOnePatternPerChunk) {
+  for (const OperatorKind op : {OperatorKind::kCsr, OperatorKind::kSellCSigma}) {
+    InputDeck deck = decks::hot_block(16, 1);
+    deck.solver.op = op;
+    deck.solver.precision = Precision::kMixed;
+    SolveSession session(deck, 2);
+    ASSERT_TRUE(session.solve().converged) << to_string(op);
+    session.cluster().for_each_chunk([&](int, Chunk& c) {
+      ASSERT_NE(c.csr(), nullptr);
+      ASSERT_NE(c.csr32(), nullptr);
+      const SparsePattern* p = c.csr()->pattern.get();
+      EXPECT_EQ(c.csr32()->pattern.get(), p) << to_string(op);
+      if (op == OperatorKind::kSellCSigma) {
+        ASSERT_NE(c.sell(), nullptr);
+        ASSERT_NE(c.sell32(), nullptr);
+        EXPECT_EQ(c.sell()->pattern.get(), p);
+        EXPECT_EQ(c.sell32()->pattern.get(), p);
+        EXPECT_TRUE(p->sell.has_value());
+      } else {
+        EXPECT_FALSE(p->sell.has_value());  // no dead SELL arrays on CSR
+      }
+    });
+  }
+}
+
+TEST(OperatorStorage, RePrepareKeepsThePatternAndRebuildsTheValues) {
+  for (const OperatorKind op : {OperatorKind::kCsr, OperatorKind::kSellCSigma}) {
+    InputDeck deck = decks::hot_block(16, 1);
+    deck.solver.op = op;
+    deck.solver.precision = Precision::kMixed;
+    SolveSession session(deck, 2);
+    ASSERT_TRUE(session.solve().converged) << to_string(op);
+    std::vector<const SparsePattern*> patterns;
+    std::vector<std::vector<double>> first_vals;
+    for (int r = 0; r < session.cluster().nranks(); ++r) {
+      patterns.push_back(session.cluster().chunk(r).csr()->pattern.get());
+      first_vals.push_back(session.cluster().chunk(r).csr()->vals);
+    }
+
+    // A different timestep changes every coupling: the values must follow
+    // it while the pattern stays put.
+    InputDeck next = deck;
+    next.initial_timestep *= 2.0;
+    session.reset(next);
+    ASSERT_TRUE(session.solve().converged) << to_string(op);
+    session.prepare(op);  // and a second prepare on the same state
+    for (int r = 0; r < session.cluster().nranks(); ++r) {
+      const Chunk& c = session.cluster().chunk(r);
+      ASSERT_EQ(c.csr()->pattern.get(), patterns[r]) << to_string(op);
+      const CsrMatrix fresh = assemble_from_stencil(c);
+      EXPECT_EQ(c.csr()->pattern->cols, fresh.pattern->cols);
+      EXPECT_EQ(c.csr()->pattern->row_ptr, fresh.pattern->row_ptr);
+      EXPECT_TRUE(bitwise_equal(c.csr()->vals, fresh.vals)) << to_string(op);
+      EXPECT_FALSE(bitwise_equal(c.csr()->vals, first_vals[r]));
+      // The prepare released the fp32 twins; the next solve rebuilds them.
+      EXPECT_EQ(c.csr32(), nullptr);
+      if (op == OperatorKind::kSellCSigma) {
+        EXPECT_EQ(c.sell()->pattern.get(), patterns[r]);
+        EXPECT_TRUE(bitwise_equal(c.sell()->vals, sell_from_csr(fresh).vals));
+      }
+    }
+    ASSERT_TRUE(session.solve().converged) << to_string(op);
+    for (int r = 0; r < session.cluster().nranks(); ++r) {
+      const Chunk& c = session.cluster().chunk(r);
+      EXPECT_EQ(c.csr32()->pattern.get(), patterns[r]);
+      const CsrMatrix32 fresh32 = assemble_from_stencil_t<float>(c);
+      EXPECT_TRUE(bitwise_equal(c.csr32()->vals, fresh32.vals));
+      if (op == OperatorKind::kSellCSigma) {
+        EXPECT_TRUE(bitwise_equal(c.sell32()->vals,
+                                  sell_from_csr_t<float>(fresh32).vals));
+      }
+    }
+  }
+}
+
+TEST(OperatorStorage, Fp32BankHasNoMaterialFields) {
+  auto cl = make_test_problem(8, 1, 2, 4.0);
+  Chunk& c = cl->chunk(0);
+  c.enable_fp32();
+  EXPECT_NO_THROW((void)c.field32(FieldId::kU));
+  EXPECT_NO_THROW((void)c.field32(FieldId::kKx));
+  for (const FieldId f :
+       {FieldId::kDensity, FieldId::kEnergy0, FieldId::kEnergy1}) {
+    EXPECT_THROW((void)c.field32(f), TeaError);
   }
 }
 
@@ -313,26 +450,28 @@ TEST(MatrixMarket, CsrFromTripletsMapsRowsOntoTheGridDiagFirst) {
   const Chunk& c = cl->chunk(0);
   const io::TripletMatrix trips = laplacian5(4);
   const CsrMatrix m = io::csr_from_triplets(trips, c);
+  const SparsePattern& p = *m.pattern;
 
-  ASSERT_EQ(m.nrows, 16);
-  EXPECT_EQ(m.row_reach, 1);
+  ASSERT_EQ(p.nrows, 16);
+  EXPECT_EQ(p.row_reach, 1);
+  EXPECT_FALSE(p.stencil);  // a loaded pattern never takes stencil values
   const Field<double>& geom = c.u();
-  for (std::int64_t r = 0; r < m.nrows; ++r) {
+  for (std::int64_t r = 0; r < p.nrows; ++r) {
     const int j = static_cast<int>(r % 4), k = static_cast<int>(r / 4);
-    const std::int64_t e = m.row_ptr[r];
-    ASSERT_GT(m.row_len(r), 0);
+    const std::int64_t e = p.row_ptr[r];
+    ASSERT_GT(p.row_len(r), 0);
     // Diagonal first (kernels and preconditioners rely on the slot)...
-    EXPECT_EQ(m.cols[e], static_cast<std::int64_t>(geom.index(j, k, 0)));
+    EXPECT_EQ(p.cols[e], static_cast<std::int32_t>(geom.index(j, k, 0)));
     EXPECT_EQ(m.vals[e], 5.0);
     // ...then the off-diagonals in ascending column order.
-    for (int i = 2; i < m.row_len(r); ++i) {
-      EXPECT_LT(m.cols[e + i - 1], m.cols[e + i]);
+    for (int i = 2; i < p.row_len(r); ++i) {
+      EXPECT_LT(p.cols[e + i - 1], p.cols[e + i]);
     }
   }
   // Corner rows have 3 entries, edges 4, interior 5: no phantom zeros.
-  EXPECT_EQ(m.row_len(0), 3);
-  EXPECT_EQ(m.row_len(1), 4);
-  EXPECT_EQ(m.row_len(5), 5);
+  EXPECT_EQ(p.row_len(0), 3);
+  EXPECT_EQ(p.row_len(1), 4);
+  EXPECT_EQ(p.row_len(5), 5);
 
   // The grid must match the matrix exactly.
   auto wrong = make_test_problem(5, 1, 2, 4.0);
@@ -586,7 +725,7 @@ TEST(OperatorModel, AssembledFillPricesSpmvFromMeasuredNnz) {
   const ScalingModel model(machines::spruce_hybrid(), mesh, 1);
   SolverRunSummary stencil = run;
   stencil.nnz_per_row = 0.0;
-  // 5 nnz/row streams 16·5 + 16 = 96 B/cell per SpMV against the
+  // 5 nnz/row streams 12·5 + 8 + 16 = 84 B/cell per SpMV against the
   // stencil's 32: the assembled prediction must be strictly slower, and
   // monotone in the fill.
   EXPECT_GT(model.run_seconds(run, 1), model.run_seconds(stencil, 1));
