@@ -61,10 +61,10 @@ int main(int argc, char** argv) {
     for (int k = 0; k < measure_n; ++k)
       for (int j = 0; j < measure_n; ++j) rhs(j, k) = c.u0()(j, k);
     Field2D<double> u(measure_n, measure_n, 1, 0.0);
-    const MGPCGResult res = solver.solve(rhs, u);
-    std::printf("measured MG-PCG iterations: %d (%s)\n", res.iterations,
+    const SolveStats res = solver.solve(rhs, u);
+    std::printf("measured MG-PCG iterations: %d (%s)\n", res.outer_iters,
                 res.converged ? "converged" : "NOT converged");
-    return res.iterations;
+    return res.outer_iters;
   }();
   const int amg_iters = static_cast<int>(std::lround(
       measured_amg_iters *

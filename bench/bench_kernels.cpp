@@ -51,6 +51,8 @@
 #include <string>
 #include <vector>
 
+#include "amg/mg_pcg.hpp"
+#include "api/solve_api.hpp"
 #include "comm/sim_comm.hpp"
 #include "driver/decks.hpp"
 #include "driver/sweep.hpp"
@@ -368,20 +370,23 @@ int run_tile_scan(const Args& args) {
 
 // ---- 2-D vs 3-D unified-core comparison (BENCH_PR4) ----------------------
 
-/// One fixed-iteration MG-PCG solve (either dimension) on the deck's
-/// undecomposed grid, via the sweep's shared step runner so the bench
-/// always measures exactly the configuration the sweep ranks.  Returns
-/// solve seconds (hierarchy setup excluded) and the iteration count.
-double time_mg_pcg_once(const InputDeck& base, int max_iters, int* iters) {
-  InputDeck deck = base;
-  deck.solver.type = SolverType::kCG;  // only sizes the halo allocation
-  deck.solver.halo_depth = 1;
-  TeaLeafApp app(deck, /*nranks=*/1);
+/// One fixed-iteration MG-PCG solve (either dimension) on a prepared
+/// single-rank session of the deck.  BENCH_PR4's mg-pcg series times the
+/// solve alone (its baseline's quantity), so this drives
+/// MGPreconditionedCG directly rather than through run_solver, whose
+/// solve_seconds include the hierarchy setup.  Returns the solve seconds
+/// and the iteration count.
+double time_mg_pcg_once(const InputDeck& deck, int max_iters, int* iters) {
+  SolveSession session(deck, /*nranks=*/1);
+  session.prepare();
+  Chunk& c = session.cluster().chunk(0);
   MGPreconditionedCG::Options opt;
   opt.eps = 1e-300;  // unreachable: every run takes max_iters exactly
   opt.max_iters = max_iters;
-  const MGPCGResult res = mg_pcg_step(app, deck, opt);
-  *iters = res.iterations;
+  MGPreconditionedCG solver = MGPreconditionedCG::from_chunk(c, opt);
+  c.u().fill(0.0);  // run_solver's zero initial guess
+  const SolveStats res = solver.solve(c.u0(), c.u());
+  *iters = res.outer_iters;
   return res.solve_seconds;
 }
 
@@ -857,10 +862,10 @@ int run_spmv_bench(const Args& args) {
           c.clear_assembled_operator();
           break;
         case OperatorKind::kCsr:
-          c.set_assembled_operator(OperatorKind::kCsr, csr);
+          c.set_assembled_operator(csr);
           break;
         case OperatorKind::kSellCSigma:
-          c.set_assembled_operator(OperatorKind::kSellCSigma, csr, sell);
+          c.set_assembled_operator(sell);
           break;
       }
       kernels::smvp(c, FieldId::kP, FieldId::kW, bounds);  // warmup

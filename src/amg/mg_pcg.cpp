@@ -70,16 +70,14 @@ MGPreconditionedCG MGPreconditionedCG::from_chunk(const Chunk& chunk) {
   return from_chunk(chunk, Options{});
 }
 
-MGPCGResult MGPreconditionedCG::solve(const Field<double>& rhs,
-                                      Field<double>& u) {
+SolveStats MGPreconditionedCG::solve(const Field<double>& rhs,
+                                     Field<double>& u) {
   TEA_REQUIRE(rhs.nx() == nx_ && rhs.ny() == ny_ && rhs.nz() == nz_,
               "rhs shape mismatch");
   TEA_REQUIRE(u.nx() == nx_ && u.ny() == ny_ && u.nz() == nz_ &&
                   u.halo() >= 1 && (mg_->dims() == 2 || u.halo_z() >= 1),
               "solution field must match the grid and carry a halo");
   Timer timer;
-  MGPCGResult res;
-  res.setup_seconds = setup_seconds_;
 
   const kernels::MGOperatorView A = mg_->level(0).op();
   const auto work_field = [&] {
@@ -97,13 +95,9 @@ MGPCGResult MGPreconditionedCG::solve(const Field<double>& rhs,
 
   // Every row loop — V-cycle smoothers included — workshares over the
   // team.  All loop control derives from row-ordered reductions, uniform
-  // across the team.  Breakdown cannot throw from inside an OpenMP
-  // region, so it is flagged and rethrown outside.
-  bool breakdown = false;
-  int iters = 0;
-  bool converged = false;
-  double final_metric = 0.0;
+  // across the team, so every thread builds the same stats.
   const auto run = [&](const Team& t) {
+    SolveStats st;
     for_rows(&t, nrows, [&](int row) {
       kernels::mg_residual_row(A, rhs, u, r, row_k(row), row_l(row));
     });
@@ -121,29 +115,28 @@ MGPCGResult MGPreconditionedCG::solve(const Field<double>& rhs,
       row_sums[static_cast<std::size_t>(row)] = acc;
     });
     double rz = reduce_rows(t, nrows, row_sums);
-    const double initial_norm = std::sqrt(std::fabs(rz));
-    if (t.thread_id() == 0) {
-      res.initial_norm = initial_norm;
+    st.initial_norm = std::sqrt(std::fabs(rz));
+    if (st.break_on_nonfinite(rz, "mg-pcg")) {
+      st.final_norm = st.initial_norm;
+      return st;
     }
-    if (initial_norm == 0.0) {
-      // Uniform branch; write the flag from one thread only.
-      if (t.thread_id() == 0) converged = true;
-      return;
+    if (st.initial_norm == 0.0) {
+      st.converged = true;  // zero right-hand side: final_norm stays 0
+      return st;
     }
-    const double target = opt_.eps * initial_norm;
+    const double target = opt_.eps * st.initial_norm;
 
     double metric = rz;
-    int it = 0;
-    bool conv = false;
-    while (it < opt_.max_iters) {
+    while (st.outer_iters < opt_.max_iters) {
       for_rows(&t, nrows, [&](int row) {
         row_sums[static_cast<std::size_t>(row)] =
             kernels::mg_smvp_dot_row(A, p, w, row_k(row), row_l(row));
       });
       const double pw = reduce_rows(t, nrows, row_sums);
+      if (st.break_on_nonfinite(pw, "mg-pcg")) break;
       if (!(pw > 0.0)) {
-        // Uniform: every thread saw the same pw; one writes the flag.
-        if (t.thread_id() == 0) breakdown = true;
+        st.breakdown = true;
+        st.breakdown_reason = "mg-pcg breakdown: ⟨p, A·p⟩ <= 0";
         break;
       }
       const double alpha = rz / pw;
@@ -165,6 +158,7 @@ MGPCGResult MGPreconditionedCG::solve(const Field<double>& rhs,
         row_sums[static_cast<std::size_t>(row)] = acc;
       });
       const double rz_new = reduce_rows(t, nrows, row_sums);
+      if (st.break_on_nonfinite(rz_new, "mg-pcg")) break;
       const double beta = rz_new / rz;
       for_rows(&t, nrows, [&](int row) {
         const int k = row_k(row);
@@ -175,32 +169,23 @@ MGPCGResult MGPreconditionedCG::solve(const Field<double>& rhs,
       t.barrier();
       rz = rz_new;
       metric = rz_new;
-      ++it;
+      ++st.outer_iters;
       if (std::sqrt(std::fabs(metric)) <= target) {
-        conv = true;
+        st.converged = true;
         break;
       }
     }
-    // Every thread computed the same scalars; publish from one.
-    if (t.thread_id() == 0) {
-      iters = it;
-      converged = conv;
-      final_metric = metric;
-    }
+    st.final_norm = std::sqrt(std::fabs(metric));
+    return st;
   };
 
-  parallel_region([&](Team& t) { run(t); });
-  TEA_REQUIRE(!breakdown, "MG-PCG breakdown: ⟨p, A·p⟩ <= 0");
-  res.iterations = iters;
-  res.converged = converged;
-  if (converged && iters == 0) {
-    // Zero right-hand side: final_norm stays 0 like the original path.
-    res.solve_seconds = timer.elapsed_s();
-    return res;
-  }
-  res.final_norm = std::sqrt(std::fabs(final_metric));
-  res.solve_seconds = timer.elapsed_s();
-  return res;
+  SolveStats stats;
+  parallel_region([&](Team& t) {
+    const SolveStats st = run(t);
+    t.single([&] { stats = st; });
+  });
+  stats.solve_seconds = timer.elapsed_s();
+  return stats;
 }
 
 }  // namespace tealeaf

@@ -4,18 +4,9 @@
 
 #include "amg/multigrid.hpp"
 #include "mesh/chunk.hpp"
+#include "solvers/solver_config.hpp"
 
 namespace tealeaf {
-
-/// Result of one multigrid-preconditioned CG solve.
-struct MGPCGResult {
-  bool converged = false;
-  int iterations = 0;
-  double initial_norm = 0.0;
-  double final_norm = 0.0;
-  double setup_seconds = 0.0;  ///< hierarchy construction (AMG setup cost)
-  double solve_seconds = 0.0;
-};
 
 /// CG preconditioned with one multigrid V-cycle per application — the
 /// reproduction's functional substitute for "PETSc CG + Hypre BoomerAMG"
@@ -34,6 +25,9 @@ struct MGPCGResult {
 /// order, so results are independent of the thread count.  Its
 /// distributed communication cost is modelled analytically in src/model
 /// (DESIGN.md §2.3).
+///
+/// run_solver runs it as SolverType::kMGPCG on a prepared single-rank
+/// session; bench code drives it directly to time the solve on its own.
 class MGPreconditionedCG {
  public:
   struct Options {
@@ -65,8 +59,12 @@ class MGPreconditionedCG {
 
   /// Solve A·u = rhs; `u` provides the initial guess and receives the
   /// solution (interior-indexed fine-grid fields; `u` needs halo >= 1,
-  /// in z too for 3-D solvers).
-  MGPCGResult solve(const Field<double>& rhs, Field<double>& u);
+  /// in z too for 3-D solvers, and only its interior is written).
+  /// Fills converged, outer_iters, initial/final_norm and solve_seconds
+  /// (the solve alone — setup_seconds() is the hierarchy build).  A
+  /// non-finite reduction or ⟨p, A·p⟩ <= 0 stops the solve and is
+  /// reported as `breakdown`, never thrown.
+  SolveStats solve(const Field<double>& rhs, Field<double>& u);
 
   [[nodiscard]] const Multigrid& hierarchy() const { return *mg_; }
   [[nodiscard]] double setup_seconds() const { return setup_seconds_; }

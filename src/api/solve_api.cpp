@@ -98,12 +98,13 @@ void SolveSession::prepare(OperatorKind op) {
           io::csr_from_triplets(trips, cl.chunk(0)));
       loaded_matrix_path_ = deck_.matrix_file;
     }
-    cl.chunk(0).clear_assembled_operator();  // no old SELL beside the new
-    auto sell = op == OperatorKind::kSellCSigma
-                    ? std::make_shared<const SellMatrix>(
-                          sell_from_csr(*loaded_matrix_))
-                    : std::shared_ptr<const SellMatrix>{};
-    cl.chunk(0).set_assembled_operator(op, loaded_matrix_, std::move(sell));
+    if (op == OperatorKind::kSellCSigma) {
+      cl.chunk(0).clear_assembled_operator();  // no old SELL beside the new
+      cl.chunk(0).set_assembled_operator(std::make_shared<const SellMatrix>(
+          sell_from_csr(*loaded_matrix_)));
+    } else {
+      cl.chunk(0).set_assembled_operator(loaded_matrix_);
+    }
     return;
   }
   // Assemble the just-built conduction stencil: coefficients change every

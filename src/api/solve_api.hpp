@@ -75,6 +75,9 @@ struct SolveResult {
   long long failed_attempt_iters = 0;
   bool cache_hit = false;     ///< session came from the shape cache
   bool rerouted = false;      ///< breakdown triggered the one-shot re-route
+  /// The failed first attempt's breakdown_reason when `rerouted` (`stats`
+  /// carries the final attempt's own).
+  std::string reroute_reason;
   bool batched = false;       ///< solved through the sub-team batch engine
   /// Wall time from batch start to this result (batched requests share
   /// their batch's wall time; a re-routed request adds its retry).

@@ -434,6 +434,9 @@ std::string InputDeck::to_string() const {
     case SolverType::kCG: os << "tl_use_cg\n"; break;
     case SolverType::kChebyshev: os << "tl_use_chebyshev\n"; break;
     case SolverType::kPPCG: os << "tl_use_ppcg\n"; break;
+    // No deck key selects mg-pcg (sweeps and routes do): keep the choice
+    // visible as a comment (the one solver that does not round-trip).
+    case SolverType::kMGPCG: os << "! solver: mg-pcg\n"; break;
   }
   os << "tl_preconditioner_type=" << tealeaf::to_string(solver.precon)
      << "\n";

@@ -116,7 +116,10 @@ struct InputDeck {
   static InputDeck parse(std::istream& in);
   static InputDeck parse_string(const std::string& text);
 
-  /// Serialise back to deck text (round-trips through parse).
+  /// Serialise back to deck text (round-trips through parse).  The one
+  /// exception is an mg-pcg solver: no deck key selects it (sweeps and
+  /// routes do), so it is written as the comment `! solver: mg-pcg` and
+  /// parsing the text back yields the parser's default solver.
   [[nodiscard]] std::string to_string() const;
 
   /// Number of timesteps the run will take.

@@ -7,12 +7,9 @@
 #include <numeric>
 #include <sstream>
 
-#include "amg/mg_pcg.hpp"
 #include "api/solve_api.hpp"
-#include "driver/tealeaf_app.hpp"
 #include "io/csv.hpp"
 #include "model/scaling.hpp"
-#include "ops/kernels.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
@@ -121,8 +118,8 @@ class ThreadScope {
   int saved_ = 0;
 };
 
-/// Run one cell with a SolverType solver through the SolveSession facade
-/// (the same entry path TeaLeafApp and the solve server use).
+/// Run one cell through the SolveSession facade (the same entry path
+/// TeaLeafApp and the solve server use).
 void run_native_cell(const InputDeck& deck, int ranks, int steps,
                      const MachineSpec& machine, SweepOutcome& out) {
   SolveSession session(deck, ranks);
@@ -154,36 +151,6 @@ void run_native_cell(const InputDeck& deck, int ranks, int steps,
   out.message_bytes = cs.message_bytes;
 }
 
-/// Run one cell with the MG-preconditioned CG baseline (either
-/// dimension).  It solves on the undecomposed grid (paper Fig. 7's
-/// PETSc+BoomerAMG stand-in), so the cell always runs on one simulated
-/// rank and records no halo traffic; its cost is dominated by the
-/// per-step hierarchy setup.
-void run_mg_pcg_cell(InputDeck deck, int steps, SweepOutcome& out) {
-  deck.solver.type = SolverType::kCG;  // only sizes the halo allocation
-  deck.solver.halo_depth = 1;
-  SolveSession session(deck, /*nranks=*/1);
-  session.cluster().reset_stats();
-
-  MGPreconditionedCG::Options opt;
-  opt.eps = deck.solver.eps;
-  opt.max_iters = deck.solver.max_iters;
-
-  out.converged = true;
-  for (int s = 0; s < steps; ++s) {
-    const MGPCGResult res = mg_pcg_step(session.cluster(), deck, opt);
-    out.converged = out.converged && res.converged;
-    out.iterations += res.iterations;
-    out.final_norm = res.final_norm;
-    out.solve_seconds += res.setup_seconds + res.solve_seconds;
-  }
-  const CommStats& cs = session.cluster().stats();
-  out.reductions = cs.reductions;
-  out.exchanges = cs.exchange_calls;
-  out.messages = cs.messages;
-  out.message_bytes = cs.message_bytes;
-}
-
 std::string fmt_double(double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", v);
@@ -191,52 +158,6 @@ std::string fmt_double(double v) {
 }
 
 }  // namespace
-
-MGPCGResult mg_pcg_step(TeaLeafApp& app, const InputDeck& deck,
-                        const MGPreconditionedCG::Options& opt) {
-  return mg_pcg_step(app.cluster(), deck, opt);
-}
-
-MGPCGResult mg_pcg_step(SimCluster2D& cl, const InputDeck& deck,
-                        const MGPreconditionedCG::Options& opt) {
-  TEA_REQUIRE(cl.nranks() == 1,
-              "mg_pcg_step: the baseline solves the undecomposed grid");
-  const double dt = deck.initial_timestep;
-  const double rx = dt / (cl.mesh().dx() * cl.mesh().dx());
-  const double ry = dt / (cl.mesh().dy() * cl.mesh().dy());
-  const double rz = cl.mesh().dims == 3
-                        ? dt / (cl.mesh().dz() * cl.mesh().dz())
-                        : 0.0;
-  Chunk& c = cl.chunk(0);
-  const bool is3d = c.dims() == 3;
-
-  cl.exchange({FieldId::kDensity, FieldId::kEnergy1}, cl.halo_depth());
-  kernels::init_u_u0(c);
-  kernels::init_conduction(c, deck.coefficient, rx, ry, rz);
-  MGPreconditionedCG solver = MGPreconditionedCG::from_chunk(c, opt);
-
-  Field<double> rhs =
-      is3d ? Field<double>::make3d(c.nx(), c.ny(), c.nz(), 0, 0.0)
-           : Field<double>(c.nx(), c.ny(), 0, 0.0);
-  for (int l = 0; l < c.nz(); ++l)
-    for (int k = 0; k < c.ny(); ++k)
-      for (int j = 0; j < c.nx(); ++j) rhs(j, k, l) = c.u0()(j, k, l);
-  Field<double> u =
-      is3d ? Field<double>::make3d(c.nx(), c.ny(), c.nz(), 1, 0.0)
-           : Field<double>(c.nx(), c.ny(), 1, 0.0);
-  const MGPCGResult res = solver.solve(rhs, u);
-
-  // Write the solution back and recover energy, as the driver does.
-  for (int l = 0; l < c.nz(); ++l) {
-    for (int k = 0; k < c.ny(); ++k) {
-      for (int j = 0; j < c.nx(); ++j) {
-        c.u()(j, k, l) = u(j, k, l);
-        c.energy()(j, k, l) = u(j, k, l) / c.density()(j, k, l);
-      }
-    }
-  }
-  return res;
-}
 
 SweepReport run_sweep(const InputDeck& base, const SweepSpec& spec,
                       const SweepOptions& opts) {
@@ -280,36 +201,13 @@ SweepReport run_sweep(const InputDeck& base, const SweepSpec& spec,
     deck.solver.op = operator_kind_from_string(cs.op);
     deck.solver.precision = precision_from_string(cs.precision);
 
-    const bool mg_pcg = cs.solver == "mg-pcg";
-    if (mg_pcg && deck.solver.op != OperatorKind::kStencil) {
-      out.skipped = true;
-      out.skip_reason =
-          "mg-pcg rebuilds its hierarchy from the face coefficients and "
-          "has no assembled-operator form";
-    } else if (mg_pcg && cs.precision != "double") {
-      out.skipped = true;
-      out.skip_reason =
-          "mg-pcg is double-only (the multigrid hierarchy stays fp64)";
-    } else if (!deck.matrix_file.empty() && cs.precision != "double") {
+    deck.solver.type = solver_type_from_string(cs.solver);
+    if (!deck.matrix_file.empty() && cs.precision != "double") {
       out.skipped = true;
       out.skip_reason =
           "a loaded matrix_file operator has no stencil coefficients to "
           "re-assemble in fp32";
-    } else if (mg_pcg) {
-      // MG *is* the preconditioner and uses no matrix-powers halo; its
-      // multigrid row loops take no explicit tile height.
-      if (cs.precon != PreconType::kNone) {
-        out.skipped = true;
-        out.skip_reason = "mg-pcg embeds multigrid as its preconditioner";
-      } else if (cs.halo_depth > 1) {
-        out.skipped = true;
-        out.skip_reason = "matrix-powers halo depth applies to PPCG only";
-      } else if (cs.tile_rows > 0) {
-        out.skipped = true;
-        out.skip_reason = "mg-pcg's multigrid row loops do not row-tile";
-      }
     } else {
-      deck.solver.type = solver_type_from_string(cs.solver);
       try {
         deck.solver.validate();
       } catch (const TeaError& e) {
@@ -320,12 +218,12 @@ SweepReport run_sweep(const InputDeck& base, const SweepSpec& spec,
 
     if (!out.skipped) {
       ThreadScope threads(cs.threads);
+      // mg-pcg solves the undecomposed grid (paper Fig. 7's
+      // PETSc+BoomerAMG stand-in), so its cells run on one simulated rank
+      // and record no halo traffic.
+      const int ranks = needs_single_rank(deck.solver) ? 1 : spec.ranks;
       try {
-        if (mg_pcg) {
-          run_mg_pcg_cell(deck, steps, out);
-        } else {
-          run_native_cell(deck, spec.ranks, steps, opts.machine, out);
-        }
+        run_native_cell(deck, ranks, steps, opts.machine, out);
       } catch (const TeaError& e) {
         // A solver contract violation mid-run fails this row only; the
         // rest of the cross-product still runs.

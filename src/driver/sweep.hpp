@@ -3,7 +3,6 @@
 #include <string>
 #include <vector>
 
-#include "amg/mg_pcg.hpp"
 #include "comm/sim_comm.hpp"
 #include "driver/deck.hpp"
 #include "io/json.hpp"
@@ -11,11 +10,10 @@
 
 namespace tealeaf {
 
-class TeaLeafApp;
-
 /// One resolved cell of the sweep cross-product.
 struct SweepCase {
-  std::string solver;  ///< "jacobi" | "cg" | "chebyshev" | "ppcg" | "mg-pcg"
+  std::string solver;  ///< SolverType name: "jacobi" | "cg" | "chebyshev" |
+                       ///< "ppcg" | "mg-pcg"
   PreconType precon = PreconType::kNone;
   int halo_depth = 1;  ///< matrix-powers depth (PPCG)
   int mesh_n = 0;      ///< square mesh edge of this run
@@ -128,20 +126,5 @@ struct SweepOptions {
 /// Convenience: run the sweep the deck itself declares (`base.sweep`).
 [[nodiscard]] SweepReport run_sweep(const InputDeck& base,
                                     const SweepOptions& opts = {});
-
-/// One timestep of the MG-preconditioned CG baseline on an undecomposed
-/// cluster (either dimension): exchange the materials, rebuild u/u0 and
-/// the conduction coefficients from `deck`, solve A·u = u0 with one
-/// V-cycle of preconditioning per iteration, and write the solution and
-/// recovered energy back into the chunk as the driver does.  `cl` must
-/// have exactly one simulated rank.  Shared by the sweep's mg-pcg cell
-/// runner, the solve server's mg-pcg route and bench_kernels' mg-pcg
-/// series, so all always measure the same configuration.
-[[nodiscard]] MGPCGResult mg_pcg_step(SimCluster2D& cl, const InputDeck& deck,
-                                      const MGPreconditionedCG::Options& opt);
-
-/// Convenience overload on the app facade (`app.cluster()`).
-[[nodiscard]] MGPCGResult mg_pcg_step(TeaLeafApp& app, const InputDeck& deck,
-                                      const MGPreconditionedCG::Options& opt);
 
 }  // namespace tealeaf

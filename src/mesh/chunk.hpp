@@ -158,34 +158,36 @@ class Chunk {
   [[nodiscard]] const CsrMatrix32* csr32() const { return csr32_.get(); }
   [[nodiscard]] const SellMatrix32* sell32() const { return sell32_.get(); }
 
-  /// Install an assembled operator (CSR always required; the SELL-C-σ
-  /// re-layout only for kSellCSigma).  The matrices are shared, immutable
-  /// snapshots — re-assemble (ops::assemble_operator) after coefficients
-  /// change; their index pattern outlives the values.
-  void set_assembled_operator(OperatorKind kind,
-                              std::shared_ptr<const CsrMatrix> csr,
-                              std::shared_ptr<const SellMatrix> sell = {}) {
-    TEA_REQUIRE(kind != OperatorKind::kStencil,
-                "stencil operator carries no assembled matrix");
+  /// Install an assembled operator: a CSR matrix makes this a kCsr chunk,
+  /// a SELL-C-σ matrix a kSellCSigma one.  A chunk stores one format's
+  /// values, never both.  The matrices are shared, immutable snapshots —
+  /// re-assemble (ops::assemble_operator) after coefficients change; their
+  /// index pattern outlives the values.  Drops the fp32 twins.
+  void set_assembled_operator(std::shared_ptr<const CsrMatrix> csr) {
     TEA_REQUIRE(csr != nullptr, "assembled operator needs a CSR matrix");
-    TEA_REQUIRE(kind != OperatorKind::kSellCSigma || sell != nullptr,
-                "sell-c-sigma operator needs the SELL re-layout");
-    op_kind_ = kind;
+    clear_assembled_operator();
+    op_kind_ = OperatorKind::kCsr;
     csr_ = std::move(csr);
+  }
+  void set_assembled_operator(std::shared_ptr<const SellMatrix> sell) {
+    TEA_REQUIRE(sell != nullptr,
+                "sell-c-sigma operator needs a SELL-C-σ matrix");
+    clear_assembled_operator();
+    op_kind_ = OperatorKind::kSellCSigma;
     sell_ = std::move(sell);
   }
 
-  /// fp32 twins of the assembled matrices (assembled from the fp32
-  /// coefficient bank, NOT downcast).  Installed by the single/mixed
-  /// drivers when op_kind() is an assembled format.
-  void set_assembled_operator32(std::shared_ptr<const CsrMatrix32> csr,
-                                std::shared_ptr<const SellMatrix32> sell = {}) {
-    TEA_REQUIRE(op_kind_ != OperatorKind::kStencil,
-                "stencil operator carries no assembled matrix");
-    TEA_REQUIRE(csr != nullptr, "assembled fp32 operator needs a CSR matrix");
-    TEA_REQUIRE(op_kind_ != OperatorKind::kSellCSigma || sell != nullptr,
-                "sell-c-sigma operator needs the fp32 SELL re-layout");
+  /// fp32 twins of the assembled matrix, in the installed operator's
+  /// format (assembled from the fp32 coefficient bank, NOT downcast).
+  /// Installed by the single/mixed drivers when op_kind() is assembled.
+  void set_assembled_operator32(std::shared_ptr<const CsrMatrix32> csr) {
+    TEA_REQUIRE(op_kind_ == OperatorKind::kCsr && csr != nullptr,
+                "fp32 CSR twin needs a CSR chunk and a matrix");
     csr32_ = std::move(csr);
+  }
+  void set_assembled_operator32(std::shared_ptr<const SellMatrix32> sell) {
+    TEA_REQUIRE(op_kind_ == OperatorKind::kSellCSigma && sell != nullptr,
+                "fp32 SELL-C-σ twin needs a sell-c-sigma chunk and a matrix");
     sell32_ = std::move(sell);
   }
 

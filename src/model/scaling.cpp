@@ -234,6 +234,9 @@ double assembled_smvp_bytes(double nnz_per_row, Precision precision) {
 
 double ScalingModel::run_seconds(const SolverRunSummary& run,
                                  int nodes) const {
+  TEA_REQUIRE(run.type != SolverType::kMGPCG,
+              "mg-pcg has no native sweep schedule; price it with "
+              "amg_run_seconds");
   // Reduced-precision solves stream 4-byte elements through every
   // solver-phase sweep and exchange — the mixed-precision layer's whole
   // bandwidth case.  The per-step field setup, the fp64 refinement guard
@@ -370,6 +373,7 @@ double ScalingModel::run_seconds(const SolverRunSummary& run,
       }
       break;
     }
+    case SolverType::kMGPCG: break;  // rejected above
   }
 
   cost.set_byte_scale(1.0);

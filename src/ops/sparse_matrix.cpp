@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <string>
+#include <type_traits>
 
 #include "mesh/chunk.hpp"
 #include "util/error.hpp"
@@ -224,14 +226,49 @@ SellMatrix sell_from_csr(const CsrMatrix& csr, int C, int sigma) {
   return sell_from_csr_t<double>(csr, C, sigma);
 }
 
+std::shared_ptr<const SparsePattern> operator_pattern(const Chunk& c) {
+  if (c.csr() != nullptr) return c.csr()->pattern;
+  if (c.sell() != nullptr) return c.sell()->pattern;
+  return nullptr;
+}
+
+namespace {
+
+/// The chunk's conduction stencil in scalar T on pattern `p`, installed in
+/// the chunk's operator format (fp32 as the twin of the fp64 operator).
+template <class T>
+void install_stencil_values(Chunk& c, std::shared_ptr<const SparsePattern> p,
+                            bool sell) {
+  std::vector<T> vals = stencil_values<T>(c, *p);
+  const auto install = [&c](auto m) {
+    if constexpr (std::is_same_v<T, float>) {
+      c.set_assembled_operator32(std::move(m));
+    } else {
+      c.set_assembled_operator(std::move(m));
+    }
+  };
+  if (sell) {
+    auto m = std::make_shared<SellMatrixT<T>>();
+    m->vals = sell_values(*p, vals);
+    m->pattern = std::move(p);
+    install(std::move(m));
+  } else {
+    auto m = std::make_shared<CsrMatrixT<T>>();
+    m->vals = std::move(vals);
+    m->pattern = std::move(p);
+    install(std::move(m));
+  }
+}
+
+}  // namespace
+
 void assemble_operator(Chunk& c, OperatorKind op) {
   const bool sell = op == OperatorKind::kSellCSigma;
   // The stencil pattern is a function of the chunk's geometry alone:
   // keep the installed one unless it is foreign (a loaded matrix) or
   // carries the wrong layout, and drop every old value array before the
   // new ones are built.
-  std::shared_ptr<const SparsePattern> p =
-      c.csr() != nullptr ? c.csr()->pattern : nullptr;
+  std::shared_ptr<const SparsePattern> p = operator_pattern(c);
   c.clear_assembled_operator();
   if (op == OperatorKind::kStencil) return;
   if (p == nullptr || !p->stencil || p->sell.has_value() != sell ||
@@ -240,31 +277,14 @@ void assemble_operator(Chunk& c, OperatorKind op) {
     if (sell) add_sell_layout(*fresh);
     p = std::move(fresh);
   }
-  auto csr = std::make_shared<CsrMatrix>();
-  csr->pattern = p;
-  csr->vals = stencil_values<double>(c, *p);
-  std::shared_ptr<SellMatrix> sell_m;
-  if (sell) {
-    sell_m = std::make_shared<SellMatrix>();
-    sell_m->pattern = p;
-    sell_m->vals = sell_values(*p, csr->vals);
-  }
-  c.set_assembled_operator(op, std::move(csr), std::move(sell_m));
+  install_stencil_values<double>(c, std::move(p), sell);
 }
 
 void assemble_operator32(Chunk& c) {
   if (c.op_kind() == OperatorKind::kStencil) return;
   c.clear_assembled_operator32();
-  auto csr32 = std::make_shared<CsrMatrix32>();
-  csr32->pattern = c.csr()->pattern;
-  csr32->vals = stencil_values<float>(c, *csr32->pattern);
-  std::shared_ptr<SellMatrix32> sell32;
-  if (c.op_kind() == OperatorKind::kSellCSigma) {
-    sell32 = std::make_shared<SellMatrix32>();
-    sell32->pattern = c.sell()->pattern;
-    sell32->vals = sell_values(*sell32->pattern, csr32->vals);
-  }
-  c.set_assembled_operator32(std::move(csr32), std::move(sell32));
+  install_stencil_values<float>(c, operator_pattern(c),
+                                c.op_kind() == OperatorKind::kSellCSigma);
 }
 
 }  // namespace tealeaf

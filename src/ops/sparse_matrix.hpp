@@ -159,16 +159,23 @@ template <class T>
 [[nodiscard]] SellMatrix sell_from_csr(const CsrMatrix& csr, int C = 8,
                                        int sigma = 64);
 
+/// The index pattern of the chunk's installed assembled operator (CSR or
+/// SELL-C-σ); null on a stencil chunk.
+[[nodiscard]] std::shared_ptr<const SparsePattern> operator_pattern(
+    const Chunk& c);
+
 /// Install the chunk's conduction stencil as operator `op` (stencil: drop
 /// any assembled matrices).  The chunk's installed stencil pattern is kept
 /// when it fits `op` and only the values are rebuilt; the old values are
-/// released first, so a chunk never holds two matrices at once.  Drops
-/// the fp32 twins, which the new values make stale.
+/// released first, so a chunk never holds two matrices at once, and a
+/// SELL-C-σ chunk holds SELL values only.  Drops the fp32 twins, which
+/// the new values make stale.
 void assemble_operator(Chunk& c, OperatorKind op);
 
-/// Install the fp32 twins of the chunk's assembled operator: values
-/// assembled from the fp32 coefficient bank onto the fp64 operator's
-/// pattern (old fp32 values released first).  No-op for the stencil.
+/// Install the fp32 twin of the chunk's assembled operator, in its
+/// format: values assembled from the fp32 coefficient bank onto the fp64
+/// operator's pattern (old fp32 values released first).  No-op for the
+/// stencil.
 void assemble_operator32(Chunk& c);
 
 }  // namespace tealeaf

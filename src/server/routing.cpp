@@ -30,7 +30,7 @@ void append_axis_suffixes(std::ostringstream& os, const RouteEntry& e) {
 std::string RouteEntry::label() const {
   std::ostringstream os;
   if (projected) os << "~";
-  os << solver << "/" << to_string(config.precon) << "/d"
+  os << to_string(config.type) << "/" << to_string(config.precon) << "/d"
      << config.halo_depth << "/n" << mesh_n;
   append_axis_suffixes(os, *this);
   return os.str();
@@ -38,41 +38,13 @@ std::string RouteEntry::label() const {
 
 std::string RouteEntry::route_key() const {
   std::ostringstream os;
-  os << solver << "/" << to_string(config.precon) << "/d"
+  os << to_string(config.type) << "/" << to_string(config.precon) << "/d"
      << config.halo_depth;
   append_axis_suffixes(os, *this);
   return os.str();
 }
 
 RouteEntry RouteEntry::validated() const {
-  if (!native()) {
-    if (config.precon != PreconType::kNone) {
-      throw TeaError("route " + label() +
-                     ": mg-pcg embeds multigrid as its preconditioner — "
-                     "did you mean precon = none?");
-    }
-    if (config.halo_depth > 1) {
-      throw TeaError("route " + label() +
-                     ": matrix-powers halo depth applies to PPCG only");
-    }
-    if (config.tile_rows > 0) {
-      throw TeaError("route " + label() +
-                     ": mg-pcg's multigrid row loops do not row-tile — did "
-                     "you mean tile_rows = -1 (auto)?");
-    }
-    if (config.op != OperatorKind::kStencil) {
-      throw TeaError("route " + label() +
-                     ": mg-pcg rebuilds its hierarchy from the face "
-                     "coefficients, so it has no assembled-operator form — "
-                     "did you mean operator = stencil?");
-    }
-    if (config.precision != Precision::kDouble) {
-      throw TeaError("route " + label() +
-                     ": mg-pcg is double-only (the multigrid hierarchy "
-                     "stays fp64) — did you mean precision = double?");
-    }
-    return *this;
-  }
   (void)config.validated();
   return *this;
 }
@@ -86,10 +58,7 @@ RoutingTable RoutingTable::from_sweep(const SweepReport& report) {
       continue;
     }
     MeasuredCell mc;
-    mc.entry.solver = cell.config.solver;
-    if (cell.config.solver != "mg-pcg") {
-      mc.entry.config.type = solver_type_from_string(cell.config.solver);
-    }
+    mc.entry.config.type = solver_type_from_string(cell.config.solver);
     mc.entry.config.precon = cell.config.precon;
     mc.entry.config.halo_depth = cell.config.halo_depth;
     mc.entry.config.tile_rows = cell.config.tile_rows;
@@ -126,7 +95,9 @@ std::vector<RouteEntry> RoutingTable::route(int dims, int mesh_n, int nranks,
   std::vector<RouteEntry> out;
   const auto viable = [&](const MeasuredCell& mc) {
     if (mc.entry.dims != dims) return false;
-    if (!mc.entry.native() && nranks > 1) return false;
+    if (needs_single_rank(mc.entry.config) && nranks > 1) {
+      return false;  // the baseline solves the undecomposed grid
+    }
     try {
       (void)mc.entry.validated();
     } catch (const TeaError&) {
@@ -161,7 +132,7 @@ std::vector<RouteEntry> RoutingTable::route(int dims, int mesh_n, int nranks,
       if (!viable(mc) || mc.entry.mesh_n != nearest) continue;
       RouteEntry e = mc.entry;
       e.projected = true;
-      if (e.native()) {
+      if (e.config.type != SolverType::kMGPCG) {
         SolveStats stats;
         stats.outer_iters = std::max(1, mc.iterations);
         stats.inner_steps = mc.inner_steps;

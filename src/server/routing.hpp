@@ -40,11 +40,6 @@ struct ObserveOutcome {
 /// plus the evidence (measured or model-projected seconds) that ranked
 /// it.
 struct RouteEntry {
-  /// "jacobi" | "cg" | "chebyshev" | "ppcg" | "mg-pcg".  For the four
-  /// native solvers `config.type` agrees with this; "mg-pcg" is the
-  /// undecomposed multigrid baseline, which is not a SolverConfig type —
-  /// `config` then carries only eps/max_iters.
-  std::string solver;
   SolverConfig config;
   int threads = 0;      ///< thread count the cell was measured with
   int mesh_n = 0;       ///< mesh edge the evidence comes from
@@ -61,11 +56,10 @@ struct RouteEntry {
   bool learned = false;        ///< observations reached min_observations
   bool demoted = false;        ///< ranked below every non-demoted entry
 
-  [[nodiscard]] bool native() const { return solver != "mg-pcg"; }
-
-  /// Compact identifier in the sweep's label style, e.g.
-  /// "ppcg/jac_diag/d4/n512/b32" ("~" prefix when model-projected; the
-  /// "/b<rows>" tile suffix is omitted at the auto default).
+  /// Compact identifier in the sweep's label style, led by
+  /// to_string(config.type), e.g. "ppcg/jac_diag/d4/n512/b32" ("~" prefix
+  /// when model-projected; the "/b<rows>" tile suffix is omitted at the
+  /// auto default).
   [[nodiscard]] std::string label() const;
 
   /// Database key for this route: label() minus the mesh size (the shape
@@ -74,9 +68,9 @@ struct RouteEntry {
   /// mixed evidence lives in its own cell.
   [[nodiscard]] std::string route_key() const;
 
-  /// Construction-time misuse check, mirroring the sweep's skip rules:
-  /// config.validated() plus the mg-pcg constraints (no preconditioner,
-  /// depth 1, no explicit tile height).  Returns *this.
+  /// Construction-time misuse check: config.validated(), the rules the
+  /// sweep skips cells by (mg-pcg's constraints included).  Returns
+  /// *this.
   [[nodiscard]] RouteEntry validated() const;
 };
 

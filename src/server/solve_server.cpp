@@ -5,7 +5,6 @@
 #include <map>
 #include <utility>
 
-#include "driver/sweep.hpp"
 #include "server/batch.hpp"
 #include "solvers/solver.hpp"
 #include "util/error.hpp"
@@ -44,6 +43,45 @@ void SolveServer::save_route_db() const {
 
 void SolveServer::submit(SolveRequest req) { queue_.push_back(std::move(req)); }
 
+namespace {
+
+/// A routing entry's structural axes (solver, precon, depth, tile height,
+/// operator, precision) overlaid on a deck's config, so the deck's
+/// tolerances (eps, max_iters, prestep count) still govern the solve.
+SolverConfig overlay_route(SolverConfig deck_config, const RouteEntry& e) {
+  deck_config.type = e.config.type;
+  deck_config.precon = e.config.precon;
+  deck_config.halo_depth = e.config.halo_depth;
+  deck_config.tile_rows = e.config.tile_rows;
+  deck_config.op = e.config.op;
+  deck_config.precision = e.config.precision;
+  return deck_config;
+}
+
+/// True when cfg passes SolverConfig::validated().
+bool is_valid(const SolverConfig& cfg) {
+  try {
+    (void)cfg.validated();
+  } catch (const TeaError&) {
+    return false;
+  }
+  return true;
+}
+
+/// Solo solve of one session: the re-route retry, run() and every request
+/// the batch engine cannot take (!runs_on_team).  On breakdown u is
+/// garbage, so the energy recovery is skipped: the session's energy field
+/// stays intact and a retry can rebuild u0 from it.
+SolveStats solve_solo(SolveSession& session, const SolverConfig& cfg) {
+  const SolverConfig resolved = cfg.validated();
+  session.prepare(resolved.op);
+  const SolveStats st = run_solver(session.cluster(), resolved);
+  if (!st.breakdown) session.finish_solve(st);
+  return st;
+}
+
+}  // namespace
+
 SolveServer::Routed SolveServer::route_request(const SolveRequest& req,
                                                int max_halo) const {
   Routed r;
@@ -65,7 +103,7 @@ SolveServer::Routed SolveServer::route_request(const SolveRequest& req,
     // and neither can reduced precision (no stencil coefficients to
     // re-assemble in fp32).
     std::erase_if(ranked, [](const RouteEntry& e) {
-      return !e.native() || e.config.op == OperatorKind::kStencil ||
+      return e.config.op == OperatorKind::kStencil ||
              e.config.precision != Precision::kDouble;
     });
   }
@@ -74,16 +112,7 @@ SolveServer::Routed SolveServer::route_request(const SolveRequest& req,
     return r;
   }
   const RouteEntry& best = ranked.front();
-  // Overlay the routed structural axes on the deck config so the deck's
-  // tolerances (eps, max_iters, prestep count) still govern the solve.
-  r.config = req.deck.solver;
-  r.is_mg_pcg = !best.native();
-  if (best.native()) r.config.type = best.config.type;
-  r.config.precon = best.config.precon;
-  r.config.halo_depth = best.config.halo_depth;
-  r.config.tile_rows = best.config.tile_rows;
-  r.config.op = best.config.op;
-  r.config.precision = best.config.precision;
+  r.config = overlay_route(req.deck.solver, best);
   r.label = best.label();
   r.route_key = best.route_key();
   r.predicted_seconds = best.predicted_seconds;
@@ -94,63 +123,25 @@ SolveServer::Routed SolveServer::route_request(const SolveRequest& req,
   return r;
 }
 
-SolveStats SolveServer::solve_solo(SolveSession& session,
-                                   const InputDeck& deck,
-                                   const SolverConfig& cfg,
-                                   bool is_mg_pcg) const {
-  if (is_mg_pcg) {
-    MGPreconditionedCG::Options opt;
-    opt.eps = cfg.eps;
-    opt.max_iters = cfg.max_iters;
-    const MGPCGResult mg = mg_pcg_step(session.cluster(), deck, opt);
-    SolveStats st;
-    st.converged = mg.converged;
-    st.outer_iters = mg.iterations;
-    st.initial_norm = mg.initial_norm;
-    st.final_norm = mg.final_norm;
-    st.solve_seconds = mg.solve_seconds;
-    session.finish_solve(st);
-    return st;
-  }
-  const SolverConfig resolved = cfg.validated();
-  session.prepare(resolved.op);
-  const SolveStats st = run_solver(session.cluster(), resolved);
-  // On breakdown, u is garbage: skip the energy recovery so the session's
-  // energy field stays intact and a retry can rebuild u0 from it.
-  if (!st.breakdown) session.finish_solve(st);
-  return st;
-}
-
-namespace {
-
-/// One request of an in-flight drain group, carrying its routing decision
-/// and borrowed session through batching and the re-route pass.
-struct Pending {
-  std::size_t order = 0;  ///< arrival index (results return in this order)
-  const SolveRequest* req = nullptr;
-  SolveSession* session = nullptr;
-  SolverConfig config;
-  std::string label;
-  bool is_mg_pcg = false;
-  bool hinted = false;
-  std::vector<RouteEntry> fallbacks;
-  /// Refinement identity of the route being run ("" = override/fallback);
-  /// the re-route pass rewrites these when it switches entries.
-  std::string route_key;
-  double predicted_seconds = 0.0;
-  long long observations = 0;
-  bool learned = false;
-  bool demoted = false;
-};
-
-}  // namespace
-
 std::vector<SolveResult> SolveServer::drain() {
   std::vector<SolveRequest> reqs(queue_.begin(), queue_.end());
   queue_.clear();
   std::vector<SolveResult> results(reqs.size());
   if (reqs.empty()) return results;
   Timer drain_timer;
+
+  /// One request of this drain, carrying its routing decision and
+  /// borrowed session through batching and the re-route pass.
+  struct Pending {
+    std::size_t order = 0;  ///< arrival index (results return in this order)
+    const SolveRequest* req = nullptr;
+    SolveSession* session = nullptr;
+    /// The routing decision: eigenvalue hints are added to its config,
+    /// and the re-route pass rewrites its route_key / predicted_seconds
+    /// when it switches entries.
+    Routed routed;
+    bool hinted = false;
+  };
 
   // Route first: the chosen configuration fixes each request's halo
   // allocation and so its shape key.  Groups keep arrival order.
@@ -161,23 +152,14 @@ std::vector<SolveResult> SolveServer::drain() {
     Pending& p = pending[i];
     p.order = i;
     p.req = &reqs[i];
-    const Routed routed = route_request(reqs[i]);
-    p.config = routed.config;
-    p.label = routed.label;
-    p.is_mg_pcg = routed.is_mg_pcg;
-    p.fallbacks = routed.fallbacks;
-    p.route_key = routed.route_key;
-    p.predicted_seconds = routed.predicted_seconds;
-    p.observations = routed.observations;
-    p.learned = routed.learned;
-    p.demoted = routed.demoted;
+    p.routed = route_request(reqs[i]);
     // The routed (or override) precision is part of the session shape:
     // write it back into this drain's copy of the deck so the group key,
     // the cache acquire and the session reset all agree, and an fp64
     // request can never share a session — or its eigenvalue memo — with a
     // single/mixed one of the same geometry.
-    reqs[i].deck.solver.precision = p.config.precision;
-    const int halo = std::max(2, p.config.halo_depth);
+    reqs[i].deck.solver.precision = p.routed.config.precision;
+    const int halo = std::max(2, p.routed.config.halo_depth);
     const std::string key =
         ProblemShape::of(reqs[i].deck, reqs[i].nranks, halo).key();
     auto [it, fresh] = groups.try_emplace(key);
@@ -194,31 +176,28 @@ std::vector<SolveResult> SolveServer::drain() {
           members.size() - at, static_cast<std::size_t>(opts_.max_batch));
       const SolveRequest& first = reqs[members[at]];
       const int halo =
-          std::max(2, pending[members[at]].config.halo_depth);
+          std::max(2, pending[members[at]].routed.config.halo_depth);
       std::vector<SolveSession*> sessions = cache_.acquire(
           first.deck, first.nranks, halo, static_cast<int>(chunk));
 
       Timer batch_timer;
       std::vector<BatchItem> items;
-      std::vector<Pending*> batch;  // non-mg-pcg members, aligned with items
+      std::vector<Pending*> batch;  // team-engine members, aligned with items
       for (std::size_t b = 0; b < chunk; ++b) {
         Pending& p = pending[members[at + b]];
+        SolverConfig& cfg = p.routed.config;
         p.session = sessions[b];
         p.session->reset(p.req->deck);
-        if (opts_.reuse_eigen_estimates && !p.is_mg_pcg &&
-            p.session->has_eig_estimate()) {
-          p.config = p.session->with_eig_hints(p.config);
+        if (opts_.reuse_eigen_estimates && p.session->has_eig_estimate()) {
+          cfg = p.session->with_eig_hints(cfg);
         }
         // Explicit-override hints count too: stripping them is a valid
         // re-route when they turn out stale.
-        p.hinted = p.config.has_eig_hints();
-        if (p.is_mg_pcg) continue;  // mg-pcg runs solo below
-        if (p.config.precision != Precision::kDouble) {
-          continue;  // the team engine is fp64-only: solo below
-        }
-        p.config = p.config.validated();
-        p.session->prepare(p.config.op);
-        items.push_back({&p.session->cluster(), p.config, {}});
+        p.hinted = cfg.has_eig_hints();
+        if (!runs_on_team(cfg)) continue;  // solo below
+        cfg = cfg.validated();
+        p.session->prepare(cfg.op);
+        items.push_back({&p.session->cluster(), cfg, {}});
         batch.push_back(&p);
       }
       solve_batched(items);
@@ -230,17 +209,12 @@ std::vector<SolveResult> SolveServer::drain() {
         }
       }
 
-      // mg-pcg members (single-rank only) solve solo through the shared
-      // sweep/bench step so every consumer measures the same code path;
-      // single/mixed members solve solo too (run_solver dispatches the
-      // fp32 storage and the iterative-refinement outer loop itself).
+      // mg-pcg and single/mixed members solve solo: run_solver opens
+      // their parallel work itself.
       for (std::size_t b = 0; b < chunk; ++b) {
         Pending& p = pending[members[at + b]];
-        SolveResult& res = results[p.order];
-        if (p.is_mg_pcg) {
-          res.stats = solve_solo(*p.session, p.req->deck, p.config, true);
-        } else if (p.config.precision != Precision::kDouble) {
-          res.stats = solve_solo(*p.session, p.req->deck, p.config, false);
+        if (!runs_on_team(p.routed.config)) {
+          results[p.order].stats = solve_solo(*p.session, p.routed.config);
         }
       }
       ++stats_.batches;
@@ -255,9 +229,10 @@ std::vector<SolveResult> SolveServer::drain() {
       }
       for (std::size_t b = 0; b < chunk; ++b) {
         Pending& p = pending[members[at + b]];
+        Routed& routed = p.routed;
         SolveResult& res = results[p.order];
-        res.config = p.config;
-        res.route_label = p.label;
+        res.config = routed.config;
+        res.route_label = routed.label;
         res.tag = p.req->tag;
         res.latency_seconds = batch_seconds;
 
@@ -266,32 +241,31 @@ std::vector<SolveResult> SolveServer::drain() {
         // entry that fits this session's halo runs.
         if (res.stats.breakdown && opts_.reroute_on_failure) {
           Timer retry_timer;
-          SolverConfig retry = p.config;
-          std::string retry_label = p.label;
-          std::string retry_route_key = p.route_key;
-          double retry_predicted = p.predicted_seconds;
-          bool retry_mg = false;
+          SolverConfig retry = routed.config;
+          std::string retry_label = routed.label;
+          std::string retry_route_key = routed.route_key;
+          double retry_predicted = routed.predicted_seconds;
           bool have_retry = false;
           bool switched_route = false;
           if (p.hinted) {
             retry.eig_hint_min = retry.eig_hint_max = 0.0;
             have_retry = true;
           } else {
-            for (const RouteEntry& e : p.fallbacks) {
+            for (const RouteEntry& e : routed.fallbacks) {
               if (e.config.halo_depth >
                   p.session->cluster().halo_depth()) {
                 continue;
               }
-              retry = p.req->deck.solver;
-              retry_mg = !e.native();
-              if (e.native()) retry.type = e.config.type;
-              retry.precon = e.config.precon;
-              retry.halo_depth = e.config.halo_depth;
-              retry.tile_rows = e.config.tile_rows;
-              retry.op = e.config.op;
               // The session's shape was keyed on the first route's
-              // precision, so the retry keeps it rather than adopting the
-              // fallback's (a precision flip would need a new session).
+              // precision (written into this drain's deck above), so the
+              // retry keeps it rather than adopting the fallback's (a
+              // precision flip would need a new session).  An entry that
+              // is invalid at that precision (mg-pcg is double-only) is
+              // passed over rather than thrown out of the drain.
+              SolverConfig candidate = overlay_route(p.req->deck.solver, e);
+              candidate.precision = p.req->deck.solver.precision;
+              if (!is_valid(candidate)) continue;
+              retry = candidate;
               retry_label = e.label();
               retry_route_key = e.route_key();
               retry_predicted = e.predicted_seconds;
@@ -306,24 +280,24 @@ std::vector<SolveResult> SolveServer::drain() {
             // running the fallback.  A hint-strip retry stays on the same
             // route — the stale hints were at fault, not the entry.
             if (opts_.learn_routes && switched_route &&
-                !p.route_key.empty()) {
+                !routed.route_key.empty()) {
               const ObserveOutcome o = opts_.routes.observe_breakdown(
                   p.req->deck.dims,
                   std::max(p.req->deck.x_cells, p.req->deck.y_cells),
-                  p.req->nranks, p.route_key);
+                  p.req->nranks, routed.route_key);
               ++stats_.route_observations;
               if (o.newly_demoted) ++stats_.demotions;
             }
-            p.route_key = retry_route_key;
-            p.predicted_seconds = retry_predicted;
+            routed.route_key = retry_route_key;
+            routed.predicted_seconds = retry_predicted;
             p.session->forget_eig_estimate();
             res.failed_attempt_iters =
                 res.stats.outer_iters + res.stats.inner_steps;
+            res.reroute_reason = res.stats.breakdown_reason;
             // The broken attempt skipped finish_solve, so energy is still
             // the request's input state; the retry's prepare() rebuilds
             // u/u0 from it.
-            res.stats =
-                solve_solo(*p.session, p.req->deck, retry, retry_mg);
+            res.stats = solve_solo(*p.session, retry);
             res.config = retry;
             res.route_label = retry_label;
             res.attempts = 2;
@@ -337,11 +311,11 @@ std::vector<SolveResult> SolveServer::drain() {
         // attempt back into the table.  Non-converged (but not broken)
         // attempts still observe — running to max_iters is an honest
         // measurement of at least how slow the route is here.
-        if (!p.route_key.empty()) {
-          res.predicted_route_seconds = p.predicted_seconds;
-          res.route_observations = p.observations;
-          res.route_learned = p.learned;
-          res.route_demoted = p.demoted;
+        if (!routed.route_key.empty()) {
+          res.predicted_route_seconds = routed.predicted_seconds;
+          res.route_observations = routed.observations;
+          res.route_learned = routed.learned;
+          res.route_demoted = routed.demoted;
           if (opts_.learn_routes) {
             const int mesh_n =
                 std::max(p.req->deck.x_cells, p.req->deck.y_cells);
@@ -349,15 +323,15 @@ std::vector<SolveResult> SolveServer::drain() {
             if (res.stats.breakdown) {
               // Final attempt broke down (no viable re-route): demote.
               o = opts_.routes.observe_breakdown(
-                  p.req->deck.dims, mesh_n, p.req->nranks, p.route_key);
+                  p.req->deck.dims, mesh_n, p.req->nranks, routed.route_key);
             } else {
               double measured = res.latency_seconds;
               if (opts_.learn_latency_hook) {
-                measured = opts_.learn_latency_hook(p.route_key, measured);
+                measured = opts_.learn_latency_hook(routed.route_key, measured);
               }
               o = opts_.routes.observe(p.req->deck.dims, mesh_n,
-                                       p.req->nranks, p.route_key, measured,
-                                       p.predicted_seconds);
+                                       p.req->nranks, routed.route_key,
+                                       measured, routed.predicted_seconds);
             }
             ++stats_.route_observations;
             if (o.newly_demoted) ++stats_.demotions;
@@ -433,13 +407,11 @@ RunResult SolveServer::run(const InputDeck& deck, int nranks) {
     Routed routed = route_request(probe, session.cluster().halo_depth());
     std::string route_key = routed.route_key;
     double predicted = routed.predicted_seconds;
-    if (opts_.reuse_eigen_estimates && !routed.is_mg_pcg &&
-        session.has_eig_estimate()) {
+    if (opts_.reuse_eigen_estimates && session.has_eig_estimate()) {
       routed.config = session.with_eig_hints(routed.config);
     }
     const bool hinted = routed.config.has_eig_hints();
-    SolveStats st =
-        solve_solo(session, deck, routed.config, routed.is_mg_pcg);
+    SolveStats st = solve_solo(session, routed.config);
     if (st.breakdown && opts_.reroute_on_failure &&
         (hinted || !routed.fallbacks.empty())) {
       session.forget_eig_estimate();
@@ -447,7 +419,6 @@ RunResult SolveServer::run(const InputDeck& deck, int nranks) {
       ++result.reroutes;
       ++stats_.reroutes;
       SolverConfig retry = routed.config;
-      bool retry_mg = routed.is_mg_pcg;
       if (hinted) {
         retry.eig_hint_min = retry.eig_hint_max = 0.0;
       } else {
@@ -458,20 +429,13 @@ RunResult SolveServer::run(const InputDeck& deck, int nranks) {
           ++stats_.route_observations;
           if (o.newly_demoted) ++stats_.demotions;
         }
-        retry = deck.solver;
-        retry_mg = !e.native();
-        if (e.native()) retry.type = e.config.type;
-        retry.precon = e.config.precon;
-        retry.halo_depth = e.config.halo_depth;
-        retry.tile_rows = e.config.tile_rows;
-        retry.op = e.config.op;
-        retry.precision = e.config.precision;
+        retry = overlay_route(deck.solver, e);
         route_key = e.route_key();
         predicted = e.predicted_seconds;
       }
       // The broken attempt skipped finish_solve: this step's input energy
       // is intact and the retry replays the SAME step from it.
-      st = solve_solo(session, deck, retry, retry_mg);
+      st = solve_solo(session, retry);
     }
     if (learn && !route_key.empty() && !st.breakdown) {
       double measured = st.solve_seconds;

@@ -122,13 +122,12 @@ class SolveServer {
   /// The configuration a request will run: its explicit override, else
   /// the best viable routing entry (label reported), else the deck's own
   /// solver config.  Routed entries overlay the structural axes (solver ×
-  /// precon × depth × engine) onto the deck config, keeping the deck's
-  /// tolerances.  `max_halo` constrains re-route candidates to fit an
-  /// already-allocated session.
+  /// precon × depth × tile height × operator × precision) onto the deck
+  /// config, keeping the deck's tolerances.  `max_halo` constrains
+  /// re-route candidates to fit an already-allocated session.
   struct Routed {
     SolverConfig config;
     std::string label;
-    bool is_mg_pcg = false;
     /// Ranked alternatives for the breakdown re-route (excludes `config`).
     std::vector<RouteEntry> fallbacks;
     /// Online-refinement identity of the chosen entry ("" = explicit
@@ -141,13 +140,6 @@ class SolveServer {
   };
   [[nodiscard]] Routed route_request(const SolveRequest& req,
                                      int max_halo = 0) const;
-
-  /// Solo solve of one prepared session (mg-pcg aware); used for the
-  /// re-route retry and for mg-pcg requests the batch engine skips.
-  [[nodiscard]] SolveStats solve_solo(SolveSession& session,
-                                      const InputDeck& deck,
-                                      const SolverConfig& cfg,
-                                      bool is_mg_pcg) const;
 
   ServerOptions opts_;
   SessionCache cache_;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 
+#include "amg/mg_pcg.hpp"
 #include "model/machine.hpp"
 #include "ops/kernels.hpp"
 #include "ops/sparse_matrix.hpp"
@@ -22,8 +23,8 @@ namespace {
 /// can price SpMV traffic from real nnz instead of the stencil constant.
 void note_operator_fill(const SimCluster2D& cl, SolveStats& stats) {
   const Chunk& c = cl.chunk(0);
-  if (c.op_kind() != OperatorKind::kStencil && c.csr() != nullptr) {
-    stats.nnz_per_row = c.csr()->nnz_per_row();
+  if (c.op_kind() != OperatorKind::kStencil) {
+    stats.nnz_per_row = operator_pattern(c)->nnz_per_row();
   }
 }
 
@@ -52,8 +53,24 @@ SolveStats solve_on_team(SimCluster2D& cl, const SolverConfig& resolved,
     case SolverType::kChebyshev:
       return ChebyshevSolver::solve_team(cl, resolved, team);
     case SolverType::kPPCG: return PPCGSolver::solve_team(cl, resolved, team);
+    case SolverType::kMGPCG: break;  // no team form: see runs_on_team
   }
   TEA_ASSERT(false, "invalid solver type");
+}
+
+/// mg-pcg on the prepared single chunk: build the hierarchy from the
+/// freshly built face coefficients, solve A·u = u0 from a zero initial
+/// guess, and charge setup + solve, as every mg-pcg solve pays both.
+SolveStats solve_mg_pcg(SimCluster2D& cl, const SolverConfig& cfg) {
+  Chunk& c = cl.chunk(0);
+  MGPreconditionedCG::Options opt;
+  opt.eps = cfg.eps;
+  opt.max_iters = cfg.max_iters;
+  MGPreconditionedCG solver = MGPreconditionedCG::from_chunk(c, opt);
+  c.u().fill(0.0);
+  SolveStats stats = solver.solve(c.u0(), c.u());
+  stats.solve_seconds += solver.setup_seconds();
+  return stats;
 }
 
 /// One native solve at the chunks' CURRENT precision activation (the
@@ -269,6 +286,13 @@ SolveStats run_solver(SimCluster2D& cl, const SolverConfig& cfg,
   cfg.validate();
   TEA_REQUIRE(cfg.halo_depth <= cl.halo_depth(),
               "cluster halo allocation too shallow for matrix-powers depth");
+  if (needs_single_rank(cfg)) {
+    TEA_REQUIRE(cl.nranks() == 1,
+                std::string(to_string(cfg.type)) +
+                    " solves the undecomposed grid: run it on one "
+                    "simulated rank");
+  }
+  if (cfg.type == SolverType::kMGPCG) return solve_mg_pcg(cl, cfg);
   SolveStats stats =
       solve_at_precision(cl, resolve(cl, cfg, machine), dispatch_native);
   note_operator_fill(cl, stats);
@@ -287,13 +311,9 @@ SolveStats solve_at_precision(SimCluster2D& cl, const SolverConfig& cfg,
 
 SolveStats run_solver_team(SimCluster2D& cl, const SolverConfig& cfg,
                            const Team& team, const MachineSpec& machine) {
-  // The batch engine's sub-team path is double-only: the refinement
-  // loop's storage orchestration (bank activation, fp64 truth tests)
-  // opens and closes parallel work and cannot run inside the caller's
-  // region.  The server diverts non-double requests to the solo path.
-  TEA_REQUIRE(cfg.precision == Precision::kDouble,
-              "run_solver_team is double-only; route single/mixed solves "
-              "through run_solver");
+  TEA_REQUIRE(runs_on_team(cfg),
+              "run_solver_team runs double-precision team forms only; route "
+              "single/mixed and mg-pcg solves through run_solver");
   SolveStats stats = solve_on_team(cl, resolve(cl, cfg, machine), team);
   note_operator_fill(cl, stats);
   return stats;

@@ -12,6 +12,7 @@ const char* to_string(SolverType t) {
     case SolverType::kCG: return "cg";
     case SolverType::kChebyshev: return "chebyshev";
     case SolverType::kPPCG: return "ppcg";
+    case SolverType::kMGPCG: return "mg-pcg";
   }
   return "?";
 }
@@ -21,6 +22,7 @@ SolverType solver_type_from_string(const std::string& s) {
   if (s == "cg") return SolverType::kCG;
   if (s == "chebyshev" || s == "cheby") return SolverType::kChebyshev;
   if (s == "ppcg" || s == "cppcg") return SolverType::kPPCG;
+  if (s == "mg-pcg") return SolverType::kMGPCG;
   throw TeaError("unknown solver type: " + s);
 }
 
@@ -58,7 +60,7 @@ std::size_t SweepSpec::num_cases() const {
 
 void SweepSpec::validate() const {
   for (const std::string& name : solvers) {
-    if (name != "mg-pcg") (void)solver_type_from_string(name);  // validates
+    (void)solver_type_from_string(name);  // validates
   }
   TEA_REQUIRE(!precons.empty(), "sweep: preconditioner axis must be non-empty");
   TEA_REQUIRE(!halo_depths.empty(), "sweep: halo-depth axis must be non-empty");
@@ -108,6 +110,24 @@ void SolverConfig::validate() const {
                 "block-Jacobi cannot be combined with the matrix-powers "
                 "kernel (paper §IV-C2)");
   }
+  if (type == SolverType::kMGPCG) {
+    // Multigrid IS mg-pcg's preconditioner; its hierarchy is rebuilt from
+    // the stencil's face coefficients in fp64, and its row loops take no
+    // tile height.  Depth 1 is the generic rule above.
+    TEA_REQUIRE(op == OperatorKind::kStencil,
+                "mg-pcg rebuilds its hierarchy from the face coefficients, "
+                "so it has no assembled-operator form — did you mean "
+                "operator = stencil?");
+    TEA_REQUIRE(precision == Precision::kDouble,
+                "mg-pcg is double-only (the multigrid hierarchy stays "
+                "fp64) — did you mean precision = double?");
+    TEA_REQUIRE(precon == PreconType::kNone,
+                "mg-pcg embeds multigrid as its preconditioner — did you "
+                "mean precon = none?");
+    TEA_REQUIRE(tile_rows <= 0,
+                "mg-pcg's multigrid row loops do not row-tile — did you "
+                "mean tile_rows = -1 (auto)?");
+  }
   if (fuse_cg_reductions) {
     TEA_REQUIRE(type == SolverType::kCG,
                 "fused reductions are a CG-only restructuring");
@@ -134,8 +154,8 @@ void SolverConfig::validate() const {
 
 SolverConfig SolverConfig::validated() const {
   validate();
-  if (has_eig_hints() &&
-      (type == SolverType::kJacobi || type == SolverType::kCG)) {
+  if (has_eig_hints() && type != SolverType::kChebyshev &&
+      type != SolverType::kPPCG) {
     throw TeaError(
         std::string("eigenvalue hints only apply to the Chebyshev-based "
                     "solvers (they replace the CG presteps), but the solver "

@@ -8,12 +8,20 @@
 
 namespace tealeaf {
 
-/// The four stand-alone solvers TeaLeaf integrates (paper §II).
+/// The four stand-alone solvers TeaLeaf integrates (paper §II), plus the
+/// multigrid-preconditioned CG baseline the paper compares them against.
 enum class SolverType : int {
   kJacobi = 0,
   kCG = 1,
   kChebyshev = 2,
   kPPCG = 3,  ///< CPPCG: CG polynomially preconditioned with Chebyshev
+  /// "mg-pcg": CG with one multigrid V-cycle per iteration on the
+  /// undecomposed grid — the reproduction's stand-in for PETSc CG +
+  /// BoomerAMG (paper §V-A, Fig. 7; amg/mg_pcg.hpp).  Single-rank,
+  /// stencil, double precision, no preconditioner or tile height
+  /// (validate()); the solve starts from a zero initial guess and its
+  /// solve_seconds include the per-solve hierarchy setup.
+  kMGPCG = 4,
 };
 
 [[nodiscard]] const char* to_string(SolverType t);
@@ -119,12 +127,15 @@ struct SolverConfig {
   /// kMixed converges to the same eps through fp64 iterative refinement
   /// around fp32 inner solves; kSingle is the honest all-fp32 mode for
   /// the sweep to price.  mg-pcg and loaded Matrix Market operators stay
-  /// double-only (validated()).
+  /// double-only (validate() / SolveSession::solve).
   Precision precision = Precision::kDouble;
 
   /// Throws TeaError on inconsistent combinations, e.g. block-Jacobi with
   /// matrix-powers depth > 1 (the strips would need fresh whole-block
-  /// data every inner step — paper §IV-C2 last paragraph).
+  /// data every inner step — paper §IV-C2 last paragraph), or mg-pcg with
+  /// anything but its one form (no preconditioner, depth 1, no explicit
+  /// tile height, stencil operator, double precision).  The sweep skips
+  /// and the routing table drops exactly the configs this rejects.
   void validate() const;
 
   /// Construction-time misuse check: everything `validate()` rejects PLUS
@@ -139,14 +150,21 @@ struct SolverConfig {
   [[nodiscard]] SolverConfig validated() const;
 };
 
+/// True for a solver that solves the undecomposed grid (mg-pcg): it runs
+/// on one simulated rank only.  The sweep runs such cells on one rank,
+/// routing offers them only to single-rank requests, and run_solver
+/// rejects them on a decomposed cluster.
+[[nodiscard]] inline bool needs_single_rank(const SolverConfig& cfg) {
+  return cfg.type == SolverType::kMGPCG;
+}
+
 /// Declarative design-space sweep axes: the deck's `sweep_*` section
 /// (paper title: "enable design-space explorations").  Each axis lists
 /// the values to visit; driver/sweep runs the full cross-product
 /// solver × preconditioner × matrix-powers depth × mesh size × threads.
 /// An empty `solvers` list means the deck does not request a sweep.
 struct SweepSpec {
-  /// Solver axis by name: the four SolverType solvers plus "mg-pcg"
-  /// (the multigrid-preconditioned CG baseline of paper Fig. 7).
+  /// Solver axis by SolverType name (to_string), "mg-pcg" included.
   std::vector<std::string> solvers;
   std::vector<PreconType> precons = {PreconType::kNone};
   std::vector<int> halo_depths = {1};    ///< matrix-powers depth (PPCG)
@@ -166,9 +184,9 @@ struct SweepSpec {
   /// Operator-format axis (`sweep_operator = stencil,csr,sell-c-sigma`),
   /// A/B-ing SolverConfig::op — the matrix-free stencil against the
   /// assembled storage formats.
-  /// Assembled cells only combine with halo depth 1 and the native
-  /// solvers (mg-pcg rebuilds its hierarchy from face coefficients), so
-  /// other combinations are enumerated but skipped.
+  /// Assembled cells only combine with halo depth 1 and not with mg-pcg
+  /// (it rebuilds its hierarchy from face coefficients), so other
+  /// combinations are enumerated but skipped.
   std::vector<std::string> operators = {"stencil"};
   /// Precision axis (`sweep_precision = double,single,mixed`), A/B-ing
   /// SolverConfig::precision
@@ -208,7 +226,9 @@ struct SolveStats {
   double eigmax = 0.0;
   double initial_norm = 0.0;     ///< sqrt of the initial convergence metric
   double final_norm = 0.0;       ///< sqrt of the final convergence metric
-  double solve_seconds = 0.0;    ///< wall-clock of the simulated solve
+  /// Wall-clock of the simulated solve; for mg-pcg it includes the
+  /// hierarchy setup, which every mg-pcg solve pays.
+  double solve_seconds = 0.0;
   /// Measured fill of the assembled operator (0 = matrix-free stencil).
   /// The scaling model prices SpMV traffic from this instead of the
   /// stencil's fixed bytes-per-cell when it is set.

@@ -536,6 +536,7 @@ inline SolveStats native(SimCluster& cl, const SolverConfig& cfg) {
     case SolverType::kCG: return cg(cl, cfg);
     case SolverType::kChebyshev: return chebyshev(cl, cfg);
     case SolverType::kPPCG: return ppcg(cl, cfg);
+    case SolverType::kMGPCG: break;  // no team-engine form to mirror
   }
   return {};
 }

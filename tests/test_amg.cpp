@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "amg/mg_pcg.hpp"
 #include "amg/multigrid.hpp"
@@ -8,6 +10,7 @@
 #include "ops/kernels.hpp"
 #include "solvers/solver.hpp"
 #include "test_helpers.hpp"
+#include "util/error.hpp"
 
 #if defined(TEALEAF_HAVE_OPENMP)
 #include <omp.h>
@@ -78,7 +81,7 @@ TEST(MGPCG, SolvesToTolerance) {
   Field2D<double> rhs(48, 48, 0, 0.0);
   for (int k = 0; k < 48; ++k)
     for (int j = 0; j < 48; ++j) rhs(j, k) = c.u0()(j, k);
-  const MGPCGResult res = solver.solve(rhs, u);
+  const SolveStats res = solver.solve(rhs, u);
   EXPECT_TRUE(res.converged);
   // Independent residual check.
   Multigrid2D mg(c.kx(), c.ky(), 48, 48);
@@ -126,14 +129,14 @@ TEST(MGPCG, NearMeshIndependentIterations) {
       for (int j = 0; j < n; ++j) rhs(j, k) = c.u0()(j, k);
     auto solver = MGPreconditionedCG::from_chunk(c);
     Field2D<double> u(n, n, 1, 0.0);
-    const MGPCGResult res = solver.solve(rhs, u);
+    const SolveStats res = solver.solve(rhs, u);
     ASSERT_TRUE(res.converged);
     SolverConfig cfg;
     cfg.type = SolverType::kCG;
     cfg.eps = 1e-10;
     const SolveStats st = run_solver(*cl, cfg);
     ASSERT_TRUE(st.converged);
-    (n == 32 ? iters32 : iters64) = res.iterations;
+    (n == 32 ? iters32 : iters64) = res.outer_iters;
     (n == 32 ? cg32 : cg64) = st.outer_iters;
   }
   EXPECT_LE(iters64, iters32 + 6) << "MG-PCG should be ~mesh independent";
@@ -157,6 +160,57 @@ TEST(MGPCG, SetupCostIsRecorded) {
   auto solver = MGPreconditionedCG::from_chunk(cl->chunk(0));
   EXPECT_GE(solver.setup_seconds(), 0.0);
   EXPECT_GE(solver.hierarchy().num_levels(), 3);
+}
+
+TEST(MGPCG, RunSolverMatchesTheDirectSolve) {
+  // SolverType::kMGPCG through run_solver is the direct solve from a zero
+  // initial guess on the cluster's chunk, bit for bit.
+  auto direct_cl = mg_problem(40, 16.0);
+  Chunk2D& c = direct_cl->chunk(0);
+  Field2D<double> rhs(40, 40, 0, 0.0);
+  for (int k = 0; k < 40; ++k)
+    for (int j = 0; j < 40; ++j) rhs(j, k) = c.u0()(j, k);
+  Field2D<double> u(40, 40, 1, 0.0);
+  const SolveStats direct = MGPreconditionedCG::from_chunk(c).solve(rhs, u);
+  ASSERT_TRUE(direct.converged);
+
+  auto cl = mg_problem(40, 16.0);
+  SolverConfig cfg;
+  cfg.type = SolverType::kMGPCG;
+  const SolveStats st = run_solver(*cl, cfg);
+  ASSERT_TRUE(st.converged);
+  EXPECT_FALSE(st.breakdown);
+  EXPECT_EQ(st.outer_iters, direct.outer_iters);
+  EXPECT_EQ(st.initial_norm, direct.initial_norm);
+  EXPECT_EQ(st.final_norm, direct.final_norm);
+  int mismatches = 0;
+  for (int k = 0; k < 40; ++k)
+    for (int j = 0; j < 40; ++j)
+      mismatches += cl->chunk(0).u()(j, k) != u(j, k) ? 1 : 0;
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(MGPCG, NonFiniteRightHandSideIsABreakdownNotAThrow) {
+  auto cl = mg_problem(16);
+  cl->chunk(0).u0()(5, 7) = std::numeric_limits<double>::quiet_NaN();
+  SolverConfig cfg;
+  cfg.type = SolverType::kMGPCG;
+  SolveStats st;
+  EXPECT_NO_THROW(st = run_solver(*cl, cfg));
+  EXPECT_TRUE(st.breakdown);
+  EXPECT_FALSE(st.converged);
+  EXPECT_NE(st.breakdown_reason.find("mg-pcg"), std::string::npos)
+      << st.breakdown_reason;
+  EXPECT_NE(st.breakdown_reason.find("non-finite"), std::string::npos)
+      << st.breakdown_reason;
+}
+
+TEST(MGPCG, RunSolverRejectsADecomposedCluster) {
+  auto cl = make_test_problem(16, 2, 2, 8.0);
+  SolverConfig cfg;
+  cfg.type = SolverType::kMGPCG;
+  EXPECT_THROW((void)run_solver(*cl, cfg), TeaError);
+  EXPECT_FALSE(runs_on_team(cfg));
 }
 
 // ---- dimension-generic hierarchy (3-D, mirroring test_geometry3d) -------
@@ -374,7 +428,7 @@ TEST(MGPCG3D, SolvesToTolerance3D) {
     for (int k = 0; k < n; ++k)
       for (int j = 0; j < n; ++j) rhs(j, k, l) = c.u0()(j, k, l);
   Field<double> u = Field<double>::make3d(n, n, n, 1, 0.0);
-  const MGPCGResult res = solver.solve(rhs, u);
+  const SolveStats res = solver.solve(rhs, u);
   EXPECT_TRUE(res.converged);
   // Independent residual check against the 7-point operator.
   Multigrid mg(c.kx(), c.ky(), c.kz(), n, n, n);
@@ -404,9 +458,9 @@ TEST(MGPCG3D, NearMeshIndependentIterations3D) {
         for (int j = 0; j < n; ++j) rhs(j, k, l) = c.u0()(j, k, l);
     auto solver = MGPreconditionedCG::from_chunk(c);
     Field<double> u = Field<double>::make3d(n, n, n, 1, 0.0);
-    const MGPCGResult res = solver.solve(rhs, u);
+    const SolveStats res = solver.solve(rhs, u);
     ASSERT_TRUE(res.converged);
-    (n == 16 ? iters16 : iters32) = res.iterations;
+    (n == 16 ? iters16 : iters32) = res.outer_iters;
   }
   EXPECT_LE(iters32, iters16 + 6) << "MG-PCG should be ~mesh independent";
 }
@@ -456,11 +510,11 @@ TEST(MGPCG3D, SinglePlaneSolveMatches2DExactly) {
     }
   Field<double> u2(n, n, 1, 0.0);
   Field<double> u3 = Field<double>::make3d(n, n, 1, 1, 0.0);
-  const MGPCGResult r2 = s2.solve(rhs2, u2);
-  const MGPCGResult r3 = s3.solve(rhs3, u3);
+  const SolveStats r2 = s2.solve(rhs2, u2);
+  const SolveStats r3 = s3.solve(rhs3, u3);
   ASSERT_TRUE(r2.converged);
   ASSERT_TRUE(r3.converged);
-  EXPECT_EQ(r3.iterations, r2.iterations);
+  EXPECT_EQ(r3.outer_iters, r2.outer_iters);
   EXPECT_EQ(r3.initial_norm, r2.initial_norm);
   EXPECT_EQ(r3.final_norm, r2.final_norm);
   for (int k = 0; k < n; ++k)
@@ -489,7 +543,7 @@ TEST(MGPCG3D, ThreadCountNeverChangesTheSolve) {
       (void)threads;
 #endif
       auto solver = MGPreconditionedCG::from_chunk(c);
-      const MGPCGResult res = solver.solve(rhs, u);
+      const SolveStats res = solver.solve(rhs, u);
 #if defined(TEALEAF_HAVE_OPENMP)
       omp_set_num_threads(saved);
 #endif
@@ -499,11 +553,11 @@ TEST(MGPCG3D, ThreadCountNeverChangesTheSolve) {
                                  : Field<double>(n, n, 1, 0.0);
     Field<double> u4 = dims == 3 ? Field<double>::make3d(n, n, n, 1, 0.0)
                                  : Field<double>(n, n, 1, 0.0);
-    const MGPCGResult r1 = solve_with(1, u1);
-    const MGPCGResult r4 = solve_with(4, u4);
+    const SolveStats r1 = solve_with(1, u1);
+    const SolveStats r4 = solve_with(4, u4);
     ASSERT_TRUE(r1.converged) << dims << "D";
     ASSERT_TRUE(r4.converged) << dims << "D";
-    EXPECT_EQ(r4.iterations, r1.iterations) << dims << "D";
+    EXPECT_EQ(r4.outer_iters, r1.outer_iters) << dims << "D";
     EXPECT_EQ(r4.initial_norm, r1.initial_norm) << dims << "D";
     EXPECT_EQ(r4.final_norm, r1.final_norm) << dims << "D";
     for (int l = 0; l < c.nz(); ++l)

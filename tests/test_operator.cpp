@@ -273,18 +273,25 @@ TEST(OperatorStorage, MixedSolveSharesOnePatternPerChunk) {
     SolveSession session(deck, 2);
     ASSERT_TRUE(session.solve().converged) << to_string(op);
     session.cluster().for_each_chunk([&](int, Chunk& c) {
-      ASSERT_NE(c.csr(), nullptr);
-      ASSERT_NE(c.csr32(), nullptr);
-      const SparsePattern* p = c.csr()->pattern.get();
-      EXPECT_EQ(c.csr32()->pattern.get(), p) << to_string(op);
+      const SparsePattern* p = operator_pattern(c).get();
+      ASSERT_NE(p, nullptr);
       if (op == OperatorKind::kSellCSigma) {
         ASSERT_NE(c.sell(), nullptr);
         ASSERT_NE(c.sell32(), nullptr);
         EXPECT_EQ(c.sell()->pattern.get(), p);
         EXPECT_EQ(c.sell32()->pattern.get(), p);
         EXPECT_TRUE(p->sell.has_value());
+        // SellView never reads CSR values: a SELL chunk stores none.
+        EXPECT_EQ(c.csr(), nullptr);
+        EXPECT_EQ(c.csr32(), nullptr);
       } else {
+        ASSERT_NE(c.csr(), nullptr);
+        ASSERT_NE(c.csr32(), nullptr);
+        EXPECT_EQ(c.csr()->pattern.get(), p);
+        EXPECT_EQ(c.csr32()->pattern.get(), p) << to_string(op);
         EXPECT_FALSE(p->sell.has_value());  // no dead SELL arrays on CSR
+        EXPECT_EQ(c.sell(), nullptr);
+        EXPECT_EQ(c.sell32(), nullptr);
       }
     });
   }
@@ -297,11 +304,17 @@ TEST(OperatorStorage, RePrepareKeepsThePatternAndRebuildsTheValues) {
     deck.solver.precision = Precision::kMixed;
     SolveSession session(deck, 2);
     ASSERT_TRUE(session.solve().converged) << to_string(op);
+    const bool sell = op == OperatorKind::kSellCSigma;
+    // The fp64 values of the chunk's installed format.
+    const auto vals_of = [sell](const Chunk& c) {
+      return sell ? c.sell()->vals : c.csr()->vals;
+    };
     std::vector<const SparsePattern*> patterns;
     std::vector<std::vector<double>> first_vals;
     for (int r = 0; r < session.cluster().nranks(); ++r) {
-      patterns.push_back(session.cluster().chunk(r).csr()->pattern.get());
-      first_vals.push_back(session.cluster().chunk(r).csr()->vals);
+      const Chunk& c = session.cluster().chunk(r);
+      patterns.push_back(operator_pattern(c).get());
+      first_vals.push_back(vals_of(c));
     }
 
     // A different timestep changes every coupling: the values must follow
@@ -313,28 +326,30 @@ TEST(OperatorStorage, RePrepareKeepsThePatternAndRebuildsTheValues) {
     session.prepare(op);  // and a second prepare on the same state
     for (int r = 0; r < session.cluster().nranks(); ++r) {
       const Chunk& c = session.cluster().chunk(r);
-      ASSERT_EQ(c.csr()->pattern.get(), patterns[r]) << to_string(op);
+      const SparsePattern* p = operator_pattern(c).get();
+      ASSERT_EQ(p, patterns[r]) << to_string(op);
       const CsrMatrix fresh = assemble_from_stencil(c);
-      EXPECT_EQ(c.csr()->pattern->cols, fresh.pattern->cols);
-      EXPECT_EQ(c.csr()->pattern->row_ptr, fresh.pattern->row_ptr);
-      EXPECT_TRUE(bitwise_equal(c.csr()->vals, fresh.vals)) << to_string(op);
-      EXPECT_FALSE(bitwise_equal(c.csr()->vals, first_vals[r]));
+      EXPECT_EQ(p->cols, fresh.pattern->cols);
+      EXPECT_EQ(p->row_ptr, fresh.pattern->row_ptr);
+      const std::vector<double> want =
+          sell ? sell_from_csr(fresh).vals : fresh.vals;
+      EXPECT_TRUE(bitwise_equal(vals_of(c), want)) << to_string(op);
+      EXPECT_FALSE(bitwise_equal(vals_of(c), first_vals[r]));
       // The prepare released the fp32 twins; the next solve rebuilds them.
       EXPECT_EQ(c.csr32(), nullptr);
-      if (op == OperatorKind::kSellCSigma) {
-        EXPECT_EQ(c.sell()->pattern.get(), patterns[r]);
-        EXPECT_TRUE(bitwise_equal(c.sell()->vals, sell_from_csr(fresh).vals));
-      }
+      EXPECT_EQ(c.sell32(), nullptr);
     }
     ASSERT_TRUE(session.solve().converged) << to_string(op);
     for (int r = 0; r < session.cluster().nranks(); ++r) {
       const Chunk& c = session.cluster().chunk(r);
-      EXPECT_EQ(c.csr32()->pattern.get(), patterns[r]);
       const CsrMatrix32 fresh32 = assemble_from_stencil_t<float>(c);
-      EXPECT_TRUE(bitwise_equal(c.csr32()->vals, fresh32.vals));
-      if (op == OperatorKind::kSellCSigma) {
+      if (sell) {
+        EXPECT_EQ(c.sell32()->pattern.get(), patterns[r]);
         EXPECT_TRUE(bitwise_equal(c.sell32()->vals,
                                   sell_from_csr_t<float>(fresh32).vals));
+      } else {
+        EXPECT_EQ(c.csr32()->pattern.get(), patterns[r]);
+        EXPECT_TRUE(bitwise_equal(c.csr32()->vals, fresh32.vals));
       }
     }
   }
@@ -657,7 +672,6 @@ TEST(SweepOperatorAxis, AssembledCellsMatchStencilAndRoundTrip) {
 
 TEST(OperatorRouting, LabelsCarryTheKindAndMgPcgRejectsAssembled) {
   RouteEntry e;
-  e.solver = "cg";
   e.config.type = SolverType::kCG;
   e.config.op = OperatorKind::kCsr;
   e.mesh_n = 16;
@@ -665,7 +679,7 @@ TEST(OperatorRouting, LabelsCarryTheKindAndMgPcgRejectsAssembled) {
   (void)e.validated();  // a native assembled entry is routable
 
   RouteEntry mg;
-  mg.solver = "mg-pcg";
+  mg.config.type = SolverType::kMGPCG;
   mg.config.op = OperatorKind::kCsr;
   mg.mesh_n = 16;
   try {

@@ -218,7 +218,7 @@ TEST(RouteRefinement, MispredictedRouteDemotedAfterNObservations) {
   // Before any evidence, the lie ranks first.
   std::vector<RouteEntry> ranked = table.route(2, 16, 2);
   ASSERT_EQ(ranked.size(), 2u);
-  EXPECT_EQ(ranked[0].solver, "chebyshev");
+  EXPECT_EQ(ranked[0].config.type, SolverType::kChebyshev);
   EXPECT_EQ(ranked[0].route_key(), "chebyshev/none/d1");
   EXPECT_EQ(ranked[0].predicted_seconds, 1e-7);
 
@@ -229,7 +229,7 @@ TEST(RouteRefinement, MispredictedRouteDemotedAfterNObservations) {
     EXPECT_FALSE(o.demoted);
     EXPECT_EQ(o.observations, i + 1);
   }
-  EXPECT_EQ(table.route(2, 16, 2)[0].solver, "chebyshev");
+  EXPECT_EQ(table.route(2, 16, 2)[0].config.type, SolverType::kChebyshev);
 
   // The third trips the ratio (5e-3 / 1e-7 >> 2): demoted, and the
   // next-ranked honest route takes over.
@@ -239,14 +239,14 @@ TEST(RouteRefinement, MispredictedRouteDemotedAfterNObservations) {
   EXPECT_TRUE(o.newly_demoted);
   ranked = table.route(2, 16, 2);
   ASSERT_EQ(ranked.size(), 2u);
-  EXPECT_EQ(ranked[0].solver, "cg");
+  EXPECT_EQ(ranked[0].config.type, SolverType::kCG);
   EXPECT_TRUE(ranked[1].demoted);
   EXPECT_TRUE(ranked[1].learned);
   EXPECT_EQ(ranked[1].observations, 3);
 
   // The demotion is shape-local: another rank count is a different shape
   // with no evidence yet.
-  EXPECT_EQ(table.route(2, 16, 1)[0].solver, "chebyshev");
+  EXPECT_EQ(table.route(2, 16, 1)[0].config.type, SolverType::kChebyshev);
 }
 
 TEST(RouteRefinement, FreshEvidenceInsideRatioPromotesAgain) {
@@ -262,7 +262,7 @@ TEST(RouteRefinement, FreshEvidenceInsideRatioPromotesAgain) {
   const ObserveOutcome demoted =
       table.observe(2, 16, 2, "chebyshev/none/d1", 0.05, 1e-2);
   EXPECT_TRUE(demoted.newly_demoted);
-  EXPECT_EQ(table.route(2, 16, 2)[0].solver, "cg");
+  EXPECT_EQ(table.route(2, 16, 2)[0].config.type, SolverType::kCG);
 
   // Latency back inside the ratio (say the machine was warming up):
   // the route is promoted again — latency demotions are not tattoos.
@@ -270,7 +270,7 @@ TEST(RouteRefinement, FreshEvidenceInsideRatioPromotesAgain) {
       table.observe(2, 16, 2, "chebyshev/none/d1", 1.5e-2, 1e-2);
   EXPECT_TRUE(promoted.newly_promoted);
   EXPECT_FALSE(promoted.demoted);
-  EXPECT_EQ(table.route(2, 16, 2)[0].solver, "chebyshev");
+  EXPECT_EQ(table.route(2, 16, 2)[0].config.type, SolverType::kChebyshev);
 }
 
 TEST(RouteRefinement, BreakdownDemotesImmediatelyAndPermanently) {
@@ -280,7 +280,7 @@ TEST(RouteRefinement, BreakdownDemotesImmediatelyAndPermanently) {
       table.observe_breakdown(2, 16, 2, "chebyshev/none/d1");
   EXPECT_TRUE(o.demoted);
   EXPECT_TRUE(o.newly_demoted);
-  EXPECT_EQ(table.route(2, 16, 2)[0].solver, "cg");
+  EXPECT_EQ(table.route(2, 16, 2)[0].config.type, SolverType::kCG);
 
   // Good latencies cannot clear a breakdown demotion: the solve FAILED
   // on this operator — only a rebuilt database forgives that.
@@ -290,7 +290,7 @@ TEST(RouteRefinement, BreakdownDemotesImmediatelyAndPermanently) {
     EXPECT_TRUE(again.demoted);
     EXPECT_FALSE(again.newly_promoted);
   }
-  EXPECT_EQ(table.route(2, 16, 2)[0].solver, "cg");
+  EXPECT_EQ(table.route(2, 16, 2)[0].config.type, SolverType::kCG);
 }
 
 TEST(RouteRefinement, PrecisionKeysNeverLeak) {

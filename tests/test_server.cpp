@@ -117,7 +117,136 @@ TEST(RoutingTable, RanksMeasuredCellsFastestFirst) {
 
   const std::vector<RouteEntry> single = table.route(2, 16, 1);
   ASSERT_EQ(single.size(), 4u);
-  EXPECT_EQ(single[2].solver, "mg-pcg");  // 0.05 s slots in after cg
+  // 0.05 s slots in after cg
+  EXPECT_EQ(single[2].config.type, SolverType::kMGPCG);
+}
+
+/// A poisoned request routed to mg-pcg fails only itself: its breakdown
+/// is reported rather than thrown out of drain(), it re-routes onto the
+/// next-ranked entry, and the healthy request beside it converges on
+/// mg-pcg exactly as a direct session solve does.
+TEST(ServerMgPcg, DrainContainsABreakdownToItsRequest) {
+  SweepReport rep;
+  rep.ranks = 1;
+  rep.steps = 1;
+  const auto add = [&rep](const std::string& solver, double seconds) {
+    SweepOutcome cell;
+    cell.config.solver = solver;
+    cell.config.mesh_n = 16;
+    cell.config.dims = 2;
+    cell.converged = true;
+    cell.iterations = 10;
+    cell.solve_seconds = seconds;
+    rep.cells.push_back(cell);
+  };
+  add("mg-pcg", 0.001);
+  add("cg", 0.010);
+  ServerOptions opts;
+  opts.routes = RoutingTable::from_sweep(rep);
+  SolveServer server(std::move(opts));
+
+  SolveRequest good;
+  good.deck = decks::hot_block(16, 1);
+  good.nranks = 1;
+  good.tag = "good";
+  SolveRequest bad = good;
+  bad.tag = "poisoned";
+  for (StateDef& st : bad.deck.states) {
+    st.density = 1e300;  // finite input whose ρ·e overflows
+    st.energy = 1e300;
+  }
+  server.submit(bad);
+  server.submit(good);
+  std::vector<SolveResult> results;
+  ASSERT_NO_THROW(results = server.drain());
+  ASSERT_EQ(results.size(), 2u);
+
+  const SolveResult& poisoned = results[0];
+  EXPECT_EQ(poisoned.tag, "poisoned");
+  EXPECT_TRUE(poisoned.stats.breakdown);
+  EXPECT_FALSE(poisoned.ok());
+  EXPECT_TRUE(poisoned.rerouted);
+  EXPECT_EQ(poisoned.attempts, 2);
+  EXPECT_NE(poisoned.reroute_reason.find("mg-pcg"), std::string::npos)
+      << poisoned.reroute_reason;
+  EXPECT_EQ(poisoned.route_label, "cg/none/d1/n16");
+  EXPECT_EQ(poisoned.config.type, SolverType::kCG);
+
+  const SolveResult& healthy = results[1];
+  EXPECT_EQ(healthy.tag, "good");
+  EXPECT_TRUE(healthy.ok());
+  EXPECT_FALSE(healthy.rerouted);
+  EXPECT_EQ(healthy.route_label, "mg-pcg/none/d1/n16");
+  EXPECT_EQ(healthy.config.type, SolverType::kMGPCG);
+  SolverConfig mg = good.deck.solver;
+  mg.type = SolverType::kMGPCG;
+  SolveSession solo(good.deck, 1);
+  const SolveStats ref = solo.solve(mg);
+  EXPECT_EQ(healthy.stats.outer_iters, ref.outer_iters);
+  EXPECT_EQ(healthy.stats.final_norm, ref.final_norm);
+  EXPECT_EQ(server.stats().reroutes, 1);
+  EXPECT_EQ(server.stats().failures, 1);
+}
+
+/// A drain retry keeps the session's precision, so a double-only mg-pcg
+/// fallback behind a mixed route is passed over, not thrown out of
+/// drain(): the poisoned request re-routes onto the next entry that is
+/// valid at mixed precision and the healthy one still returns.
+TEST(ServerMgPcg, MixedBreakdownPassesOverTheDoubleOnlyFallback) {
+  SweepReport rep;
+  rep.ranks = 1;
+  rep.steps = 1;
+  const auto add = [&rep](const std::string& solver,
+                          const std::string& precision, double seconds) {
+    SweepOutcome cell;
+    cell.config.solver = solver;
+    cell.config.mesh_n = 16;
+    cell.config.dims = 2;
+    cell.config.precision = precision;
+    cell.converged = true;
+    cell.iterations = 10;
+    cell.solve_seconds = seconds;
+    rep.cells.push_back(cell);
+  };
+  add("cg", "mixed", 0.001);
+  add("mg-pcg", "double", 0.002);
+  add("cg", "double", 0.010);
+  ServerOptions opts;
+  opts.routes = RoutingTable::from_sweep(rep);
+  const std::vector<RouteEntry> ranked = opts.routes.route(2, 16, 1);
+  ASSERT_EQ(ranked.size(), 3u);
+  ASSERT_EQ(ranked[1].config.type, SolverType::kMGPCG);
+  SolveServer server(std::move(opts));
+
+  SolveRequest good;
+  good.deck = decks::hot_block(16, 1);
+  good.nranks = 1;
+  good.tag = "good";
+  SolveRequest bad = good;
+  bad.tag = "poisoned";
+  for (StateDef& st : bad.deck.states) {
+    st.density = 1e300;  // finite input whose ρ·e overflows
+    st.energy = 1e300;
+  }
+  server.submit(bad);
+  server.submit(good);
+  std::vector<SolveResult> results;
+  ASSERT_NO_THROW(results = server.drain());
+  ASSERT_EQ(results.size(), 2u);
+
+  const SolveResult& poisoned = results[0];
+  EXPECT_EQ(poisoned.tag, "poisoned");
+  EXPECT_TRUE(poisoned.stats.breakdown);
+  EXPECT_TRUE(poisoned.rerouted);
+  EXPECT_EQ(poisoned.route_label, "cg/none/d1/n16");
+  EXPECT_EQ(poisoned.config.type, SolverType::kCG);
+  EXPECT_EQ(poisoned.config.precision, Precision::kMixed);
+
+  const SolveResult& healthy = results[1];
+  EXPECT_EQ(healthy.tag, "good");
+  EXPECT_TRUE(healthy.ok());
+  EXPECT_FALSE(healthy.rerouted);
+  EXPECT_EQ(healthy.route_label, "cg/none/d1/n16/mixed");
 }
 
 TEST(RoutingTable, UnseenMeshFallsBackToModelProjection) {
@@ -379,7 +508,7 @@ TEST(ServerPrecision, RoutesMixedCellsAndFiltersDoubleOnlyBaselines) {
   EXPECT_EQ(ranked.front().label(), "cg/none/d1/n16/mixed");
   EXPECT_EQ(ranked.front().config.precision, Precision::kMixed);
   for (const RouteEntry& e : ranked) {
-    if (e.solver == "mg-pcg") {
+    if (e.config.type == SolverType::kMGPCG) {
       EXPECT_EQ(e.config.precision, Precision::kDouble);
     }
   }
