@@ -46,8 +46,7 @@ int main(int argc, char** argv) {
       double rro = cg_setup(cl, precon, t);
       bool broke = false;
       for (int i = 0; i < lanczos_steps && !broke; ++i) {
-        rro = cg_iteration(cl, precon, /*tile_rows=*/0, rro, &mine, broke,
-                           t);
+        rro = cg_iteration(cl, precon, rro, &mine, broke, t);
       }
       t.single([&] { rec = mine; });
     });

@@ -1,23 +1,16 @@
 // Kernel and execution-engine benchmarks — the C++ analogue of Listing 1
 // and the other per-iteration sweeps.
 //
-// Every native solve runs the one tiled team engine; the modes below time
-// it across its one setting (the row-block height) and across the other
+// Every native solve runs the one team engine, which derives its
+// row-blocks from the thread team; the modes below time it across the
 // design-space axes:
-//  * A tile-size scan: fixed-iteration solves per solver over a ladder of
-//    row-block heights (one block per rank, small blocks, the
-//    auto-derived height, the whole chunk), emitting BENCH_PR3.json.
-//       ./bench/bench_kernels --tile-scan [--mesh 1024] [--ranks 4]
-//                             [--reps 3] [--out BENCH_PR3.json]
 //  * A dimension comparison of the unified core: per solver,
-//    fixed-iteration 2-D (n²) vs 3-D (m³, similar cell count) solves at
-//    one block per rank and at a fixed row-block height, reporting the
-//    3-D-vs-2-D cost per cell·iteration.  The mg-pcg baseline rides
-//    along (its dimension-generic multigrid hierarchy covers both
-//    geometries).  Emits BENCH_PR4.json.
+//    fixed-iteration 2-D (n²) vs 3-D (m³, similar cell count) solves,
+//    reporting the 3-D-vs-2-D cost per cell·iteration.  The mg-pcg
+//    baseline rides along (its dimension-generic multigrid hierarchy
+//    covers both geometries).  Emits BENCH_PR4.json.
 //       ./bench/bench_kernels --dim 3 [--mesh 64] [--mesh3d 16]
-//                             [--ranks 4] [--reps 3] [--tile 8]
-//                             [--out BENCH_PR4.json]
+//                             [--ranks 4] [--reps 3] [--out BENCH_PR4.json]
 //  * A solve-server batching comparison: the same fixed-iteration request
 //    stream drained at max_batch = 1 (solo: whole-team solves, one after
 //    another) vs coalesced into one sub-team batch, checking the batched
@@ -58,7 +51,6 @@
 #include "driver/sweep.hpp"
 #include "driver/tealeaf_app.hpp"
 #include "io/json.hpp"
-#include "model/machine.hpp"
 #include "ops/kernels.hpp"
 #include "ops/sparse_matrix.hpp"
 #include "precon/preconditioner.hpp"
@@ -231,13 +223,13 @@ struct EngineCase {
   SolverConfig cfg;
 };
 
-// ---- tile-size scan (BENCH_PR3) -----------------------------------------
+// ---- fixed-iteration solver cases ----------------------------------------
 
-/// Fixed-iteration solver configurations for the scan: eps is set far out
-/// of reach so every engine runs exactly the same, capped iteration count
-/// (the engines are bitwise identical, so the trajectories agree) and the
-/// comparison is pure execution speed over identical work.
-std::vector<EngineCase> tile_scan_cases() {
+/// Fixed-iteration solver configurations: eps is set far out of reach so
+/// every compared configuration runs exactly the same, capped iteration
+/// count (the trajectories agree bitwise) and the comparison is pure
+/// execution speed over identical work.
+std::vector<EngineCase> fixed_iteration_cases() {
   std::vector<EngineCase> cases;
   SolverConfig cg;
   cg.type = SolverType::kCG;
@@ -274,98 +266,6 @@ double time_fixed_once(const InputDeck& deck, int ranks, int* iters) {
   const SolveStats st = app.step();
   *iters = st.outer_iters;
   return st.solve_seconds;
-}
-
-int run_tile_scan(const Args& args) {
-  // Fixed-iteration runs hit max_iters by design; the per-run warnings
-  // are noise here.
-  log::set_level(log::Level::kError);
-  const int mesh = args.get_int("mesh", 1024);
-  const int ranks = args.get_int("ranks", 4);
-  const int reps = args.get_int("reps", 3);
-  const std::string out_path = args.get("out", "BENCH_PR3.json");
-
-  const int chunk_n = mesh / std::max(1, static_cast<int>(
-                                             std::lround(std::sqrt(ranks))));
-  const int auto_rows =
-      auto_tile_rows(machines::spruce_hybrid(), chunk_n, 2);
-  // Ladder: one block per rank (0), small blocks (L2-sized and below),
-  // the auto-derived height, and the whole chunk as an explicit height.
-  std::vector<int> tiles = {0, 8, 32, 128};
-  for (const int extra : {auto_rows, chunk_n}) {
-    if (std::find(tiles.begin(), tiles.end(), extra) == tiles.end()) {
-      tiles.push_back(extra);
-    }
-  }
-
-  io::JsonValue doc = io::JsonValue::object();
-  doc.set("benchmark", "tiled execution engine tile-size scan (PR3)");
-  doc.set("mesh", mesh);
-  doc.set("ranks", ranks);
-  doc.set("threads", num_threads());
-  doc.set("reps", reps);
-  doc.set("auto_tile_rows", auto_rows);
-  io::JsonValue arr = io::JsonValue::array();
-
-  for (const EngineCase& ec : tile_scan_cases()) {
-    InputDeck deck = decks::hot_block(mesh, 1);
-    deck.solver = ec.cfg;
-
-    struct Config {
-      int tile_rows;
-      double best = 0.0;
-      int iters = 0;
-    };
-    std::vector<Config> configs;
-    for (const int rows : tiles) configs.push_back({rows});
-    // One untimed warmup round, then best-of-reps.  Round-robin with the
-    // starting position rotated every rep, so neither slow machine drift
-    // nor any position-in-cycle effect biases one configuration.
-    for (int rep = -1; rep < reps; ++rep) {
-      for (std::size_t i = 0; i < configs.size(); ++i) {
-        Config& c = configs[(i + static_cast<std::size_t>(rep + 1)) %
-                            configs.size()];
-        deck.solver.tile_rows = c.tile_rows;
-        const double seconds = time_fixed_once(deck, ranks, &c.iters);
-        if (rep <= 0 || seconds < c.best) c.best = seconds;
-      }
-    }
-
-    io::JsonValue tile_arr = io::JsonValue::array();
-    const Config* best = &configs.front();
-    bool identical = true;
-    for (const Config& c : configs) {
-      io::JsonValue cell = io::JsonValue::object();
-      cell.set("tile_rows", c.tile_rows);
-      cell.set("seconds", c.best);
-      tile_arr.push_back(std::move(cell));
-      if (c.best < best->best) best = &c;
-      identical = identical && c.iters == configs.front().iters;
-    }
-
-    io::JsonValue entry = io::JsonValue::object();
-    entry.set("solver", ec.name);
-    entry.set("iters", configs.front().iters);
-    entry.set("tiles", std::move(tile_arr));
-    entry.set("best_tile_rows", best->tile_rows);
-    entry.set("best_tiled_seconds", best->best);
-    entry.set("identical_iterations", identical);
-    arr.push_back(std::move(entry));
-    std::printf("%-10s one block %.4fs  best tile b%-4d %.4fs  (iters %d%s)\n",
-                ec.name.c_str(), configs.front().best, best->tile_rows,
-                best->best, configs.front().iters,
-                identical ? "" : " MISMATCH");
-  }
-  doc.set("solvers", std::move(arr));
-
-  std::ofstream out(out_path);
-  if (!out.is_open()) {
-    std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-    return 1;
-  }
-  out << doc.dump(2) << "\n";
-  std::printf("tile-size scan -> %s\n", out_path.c_str());
-  return 0;
 }
 
 // ---- 2-D vs 3-D unified-core comparison (BENCH_PR4) ----------------------
@@ -408,59 +308,49 @@ int run_dim_compare(const Args& args) {
   const int mesh3d = args.get_int("mesh3d", 16);
   const int ranks = args.get_int("ranks", 4);
   const int reps = args.get_int("reps", 3);
-  const int tile = args.get_int("tile", 8);
   const std::string out_path = args.get("out", "BENCH_PR4.json");
 
   io::JsonValue doc = io::JsonValue::object();
-  doc.set("benchmark",
-          "dimension-generic core: 2-D vs 3-D tiled engine");
+  doc.set("benchmark", "dimension-generic core: 2-D vs 3-D team engine");
   doc.set("mesh_2d", mesh2d);
   doc.set("mesh_3d", mesh3d);
   doc.set("ranks", ranks);
   doc.set("threads", num_threads());
   doc.set("reps", reps);
-  doc.set("tile_rows", tile);
   io::JsonValue arr = io::JsonValue::array();
 
-  // Per solver and geometry: best-of-reps seconds of each timed
-  // configuration (one block per rank, then `tile`-row blocks for the
-  // native solvers; mg-pcg's multigrid row loops take no tile height).
-  const auto record = [&](const std::string& name, auto&& time_config,
-                          int nconfigs) {
+  // Per solver and geometry: best-of-reps seconds.  The native solvers'
+  // series keep their historical "one_block_seconds" key: at ranks >=
+  // threads the engine runs one block per rank.  mg-pcg's is "seconds".
+  const auto record = [&](const std::string& name, const char* key,
+                          auto&& time_once) {
     io::JsonValue entry = io::JsonValue::object();
     entry.set("solver", name);
     double per_cell_iter[2] = {0.0, 0.0};
     for (const int dims : {2, 3}) {
-      std::vector<double> best(static_cast<std::size_t>(nconfigs), 0.0);
-      std::vector<int> iters(static_cast<std::size_t>(nconfigs), 0);
-      for (int rep = -1; rep < reps; ++rep) {  // first round is warmup
-        for (int i = 0; i < nconfigs; ++i) {
-          const double sec = time_config(dims, i, &iters[i]);
-          if (rep <= 0 || sec < best[i]) best[i] = sec;
-        }
-      }
+      double best = 0.0;
+      int iters = 0;
       bool identical = true;
-      for (const int it : iters) identical = identical && it == iters[0];
+      for (int rep = -1; rep < reps; ++rep) {  // first round is warmup
+        int it = 0;
+        const double sec = time_once(dims, &it);
+        if (rep < 0) iters = it;
+        identical = identical && it == iters;
+        if (rep <= 0 || sec < best) best = sec;
+      }
       const long long cells = dims == 3 ? 1LL * mesh3d * mesh3d * mesh3d
                                         : 1LL * mesh2d * mesh2d;
       io::JsonValue d = io::JsonValue::object();
       d.set("cells", cells);
-      d.set("iters", iters[0]);
-      if (nconfigs == 2) {
-        d.set("one_block_seconds", best[0]);
-        d.set("tiled_seconds", best[1]);
-      } else {
-        d.set("seconds", best[0]);
-      }
+      d.set("iters", iters);
+      d.set(key, best);
       per_cell_iter[dims - 2] =
-          iters[0] > 0 ? best.back() / (static_cast<double>(cells) * iters[0])
-                       : 0.0;
+          iters > 0 ? best / (static_cast<double>(cells) * iters) : 0.0;
       d.set("seconds_per_cell_iter", per_cell_iter[dims - 2]);
       d.set("identical_iterations", identical);
       entry.set(dims == 3 ? "3d" : "2d", std::move(d));
-      std::printf("%-10s %dD %.4fs%s (iters %d%s)\n", name.c_str(), dims,
-                  best.back(), nconfigs == 2 ? " tiled" : "", iters[0],
-                  identical ? "" : " MISMATCH");
+      std::printf("%-10s %dD %.4fs (iters %d%s)\n", name.c_str(), dims, best,
+                  iters, identical ? "" : " MISMATCH");
     }
     entry.set("cost_ratio_3d_vs_2d_per_cell_iter",
               per_cell_iter[0] > 0.0 ? per_cell_iter[1] / per_cell_iter[0]
@@ -468,23 +358,17 @@ int run_dim_compare(const Args& args) {
     arr.push_back(std::move(entry));
   };
 
-  for (const EngineCase& ec : tile_scan_cases()) {
-    record(ec.name,
-           [&](int dims, int i, int* iters) {
-             InputDeck deck = dim_deck(dims, mesh2d, mesh3d);
-             deck.solver = ec.cfg;
-             deck.solver.tile_rows = i == 0 ? 0 : tile;
-             return time_fixed_once(deck, ranks, iters);
-           },
-           2);
+  for (const EngineCase& ec : fixed_iteration_cases()) {
+    record(ec.name, "one_block_seconds", [&](int dims, int* iters) {
+      InputDeck deck = dim_deck(dims, mesh2d, mesh3d);
+      deck.solver = ec.cfg;
+      return time_fixed_once(deck, ranks, iters);
+    });
   }
   constexpr int kMgIters = 8;
-  record("mg-pcg",
-         [&](int dims, int, int* iters) {
-           return time_mg_pcg_once(dim_deck(dims, mesh2d, mesh3d), kMgIters,
-                                   iters);
-         },
-         1);
+  record("mg-pcg", "seconds", [&](int dims, int* iters) {
+    return time_mg_pcg_once(dim_deck(dims, mesh2d, mesh3d), kMgIters, iters);
+  });
   doc.set("solvers", std::move(arr));
 
   std::ofstream out(out_path);
@@ -911,7 +795,7 @@ int run_spmv_bench(const Args& args) {
   // iteration counts, so any iteration drift between representations is a
   // bitwise-equivalence bug, and the timings compare pure SpMV cost in
   // its solver context.
-  for (const EngineCase& ec : tile_scan_cases()) {
+  for (const EngineCase& ec : fixed_iteration_cases()) {
     InputDeck deck = decks::hot_block(mesh, 1);
     deck.solver = ec.cfg;
 
@@ -976,14 +860,14 @@ int main(int argc, char** argv) {
 #endif
   try {
     const Args args(argc, argv);
+    args.reject_retired({"tile-scan", "tile"});
     if (args.has("precision")) return run_precision_bench(args);
     if (args.has("spmv")) return run_spmv_bench(args);
     if (args.has("server")) return run_server_bench(args);
-    if (args.has("tile-scan")) return run_tile_scan(args);
     if (args.get_int("dim", 2) == 3) return run_dim_compare(args);
     std::fprintf(stderr,
-                 "usage: bench_kernels --tile-scan | --dim 3 | --server | "
-                 "--spmv | --precision | --gbench  (see the file header)\n");
+                 "usage: bench_kernels --dim 3 | --server | --spmv | "
+                 "--precision | --gbench  (see the file header)\n");
     return 1;
   } catch (const TeaError& e) {
     std::fprintf(stderr, "bench error: %s\n", e.what());

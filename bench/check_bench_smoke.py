@@ -2,9 +2,10 @@
 """Assert the engine-equivalence invariants of a BENCH_*.json artifact.
 
 The bench harnesses record ``identical_iterations`` wherever two
-configurations of the engine (tile heights, geometries' fixed-iteration
-runs) solved the same problem (every configuration is bitwise equivalent,
-so any mismatch is a correctness bug, not noise); the solve-server bench
+configurations or repetitions of the engine (operator forms, precisions,
+repeated fixed-iteration runs) solved the same problem (every configuration
+is bitwise equivalent, so any mismatch is a correctness bug, not noise);
+the solve-server bench
 records the stronger ``identical_results`` (bitwise-equal solution fields
 between batched and solo solves).  The old CI check was
 ``! grep -q '"identical_iterations": false'`` — which passes vacuously
@@ -12,7 +13,7 @@ when the key is missing or the file is empty.  This script fails on BOTH:
 every solver entry must carry at least one equivalence flag (directly or
 in a nested object) and every flag must be true.
 
-Usage: check_bench_smoke.py BENCH_PR3.json [BENCH_PR4.json ...]
+Usage: check_bench_smoke.py BENCH_PR4.json [BENCH_PR6.json ...]
 """
 
 import json

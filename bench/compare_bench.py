@@ -10,7 +10,7 @@ seconds per cell*iteration before comparing.  A fresh metric more than
 baseline fails the gate; faster-than-baseline is always fine.
 
 Usage:
-  compare_bench.py --baseline BENCH_PR3.json --fresh build/BENCH_PR3.json
+  compare_bench.py --baseline BENCH_PR4.json --fresh build/BENCH_PR4.json
                    [--tolerance 0.25] [--inject-slowdown 2.0]
 
 Override knob: --tolerance, or the BENCH_GATE_TOLERANCE environment
@@ -40,17 +40,6 @@ def per_cell_iter(seconds, cells, iters):
     return seconds / (cells * iters)
 
 
-def extract_pr3(doc):
-    """tile-size scan: mesh^2 cells, one iters per solver."""
-    cells = doc["mesh"] ** 2
-    metrics = {}
-    for entry in doc["solvers"]:
-        m = per_cell_iter(entry["best_tiled_seconds"], cells, entry["iters"])
-        if m is not None:
-            metrics[f"{entry['solver']}/best-tiled"] = m
-    return metrics
-
-
 def extract_pr4(doc):
     """2-D vs 3-D comparison: per-geometry cells/iters in each entry."""
     metrics = {}
@@ -62,11 +51,10 @@ def extract_pr4(doc):
             iters = d["iters"]
             for kind, key in (
                 ("one-block", "one_block_seconds"),
-                ("tiled", "tiled_seconds"),
                 ("mg", "seconds"),
             ):
                 if key not in d:
-                    continue  # mg-pcg has one configuration, natives two
+                    continue  # natives record one-block, mg-pcg seconds
                 m = per_cell_iter(d[key], cells, iters)
                 if m is not None:
                     metrics[f"{name}/{dims}/{kind}"] = m
@@ -133,7 +121,6 @@ def extract_pr9(doc):
 
 
 EXTRACTORS = (
-    ("tile-size scan", extract_pr3),
     ("2-D vs 3-D", extract_pr4),
     ("solve-server", extract_pr6),
     ("assembled operators", extract_pr7),

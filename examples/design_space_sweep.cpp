@@ -1,12 +1,11 @@
 // The paper's purpose, as one command: sweep the solver design space
 // (solver × preconditioner × matrix-powers depth × mesh size × threads ×
-// tile height × geometry × operator × precision) over a deck and emit a
-// ranked result table as CSV + JSON.
+// geometry × operator × precision) over a deck and emit a ranked result
+// table as CSV + JSON.
 //
 // Run:  ./examples/design_space_sweep [--mesh 48] [--ranks 4] [--steps 1]
 //           [--solvers cg,ppcg,chebyshev,mg-pcg] [--precons none,jac_diag]
-//           [--depths 1,4] [--meshes 32,48] [--threads 0]
-//           [--tiles -1,0,32] [--geometry 2d,3d]
+//           [--depths 1,4] [--meshes 32,48] [--threads 0] [--geometry 2d,3d]
 //           [--operators stencil,csr,sell-c-sigma]
 //           [--precisions double,single,mixed] [--deck path/to/tea.in]
 //           [--csv out.csv] [--json out.json] [--route-db route_db.json]
@@ -50,8 +49,7 @@ int main(int argc, char** argv) {
 namespace {
 
 int run(const Args& args) {
-  args.reject_retired("fused", "--tiles");
-  args.reject_retired("pipeline", "--tiles");
+  args.reject_retired({"fused", "pipeline", "tiles"});
 
   InputDeck base;
   const std::string deck_path = args.get("deck", "");
@@ -81,7 +79,6 @@ int run(const Args& args) {
         args.get("meshes", std::to_string(base.x_cells) + ",32"), "--meshes");
     spec.thread_counts = split_int_list(args.get("threads", "0"),
                                         "--threads");
-    spec.tile_rows = split_int_list(args.get("tiles", "-1"), "--tiles");
     spec.geometries.clear();  // empty = inherit the deck's geometry
     if (args.has("geometry")) {
       for (const std::string& g :
@@ -111,12 +108,12 @@ int run(const Args& args) {
 
   std::printf("design-space sweep: %zu cells (%zu solvers x %zu precons x "
               "%zu depths x %zu meshes x %zu thread counts x "
-              "%zu tile heights x %zu geometries x %zu operators x "
-              "%zu precisions), %d ranks\n\n",
+              "%zu geometries x %zu operators x %zu precisions), "
+              "%d ranks\n\n",
               spec.num_cases(), spec.solvers.size(), spec.precons.size(),
               spec.halo_depths.size(),
               spec.mesh_sizes.empty() ? 1 : spec.mesh_sizes.size(),
-              spec.thread_counts.size(), spec.tile_rows.size(),
+              spec.thread_counts.size(),
               spec.geometries.empty() ? 1 : spec.geometries.size(),
               spec.operators.size(),
               spec.precisions.empty() ? 1 : spec.precisions.size(),

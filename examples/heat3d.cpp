@@ -4,10 +4,9 @@
 //
 // Since the dimension-generic core retired the tea3d fork, this example
 // runs through exactly the same mesh/comm/solver stack as every 2-D run —
-// including the execution engine's row tiling (--tile; -1 = auto).
+// including the execution engine's team-derived row-blocks.
 //
 // Run:  ./examples/heat3d [--mesh 24] [--ranks 8] [--steps 3] [--depth 2]
-//                         [--tile 8]
 
 #include <cmath>
 #include <cstdio>
@@ -38,8 +37,7 @@ namespace {
 
 int run(const tealeaf::Args& args) {
   using namespace tealeaf;
-  args.reject_retired("fused", "--tile");
-  args.reject_retired("pipeline", "--tile");
+  args.reject_retired({"fused", "pipeline", "tile"});
   const int n = args.get_int("mesh", 24);
   const int ranks = args.get_int("ranks", 8);
   const int steps = args.get_int("steps", 3);
@@ -78,7 +76,6 @@ int run(const tealeaf::Args& args) {
   cfg.eigen_cg_iters = 15;
   cfg.eps = 1e-9;
   cfg.max_iters = 50000;
-  cfg.tile_rows = args.get_int("tile", -1);
 
   std::printf("heat3d: %d^3 cells on %d simulated ranks (%dx%dx%d), "
               "PPCG depth %d\n", n, cl.nranks(),

@@ -116,7 +116,7 @@ void SolveSession::prepare(OperatorKind op) {
 
 SolveStats SolveSession::solve_prepared_team(const SolverConfig& cfg,
                                              const Team& team) {
-  return run_solver_team(*cluster_, cfg, team, machine_);
+  return run_solver_team(*cluster_, cfg, team);
 }
 
 void SolveSession::finish_solve(const SolveStats& stats) {
@@ -152,7 +152,7 @@ SolveStats SolveSession::solve(const SolverConfig& cfg) {
               "(no stencil coefficients to assemble in fp32); use "
               "tl_precision = double");
   prepare(checked.op);
-  const SolveStats stats = run_solver(*cluster_, checked, machine_);
+  const SolveStats stats = run_solver(*cluster_, checked);
   finish_solve(stats);
   return stats;
 }

@@ -68,6 +68,8 @@ struct SolveResult {
   SolveStats stats;
   SolverConfig config;        ///< configuration of the final attempt
   std::string route_label;    ///< routing-table entry label ("" = explicit)
+  /// Solves run for this request: 1, 2 after a re-route, 0 when its
+  /// configuration could not run at all (see `reroute_reason`).
   int attempts = 1;
   /// Work burned by attempts that broke down before the final one:
   /// outer iterations (incl. eigen presteps) plus inner Chebyshev steps.
@@ -76,11 +78,13 @@ struct SolveResult {
   bool cache_hit = false;     ///< session came from the shape cache
   bool rerouted = false;      ///< breakdown triggered the one-shot re-route
   /// The failed first attempt's breakdown_reason when `rerouted` (`stats`
-  /// carries the final attempt's own).
+  /// carries the final attempt's own); when `attempts` is 0, why the
+  /// configuration was rejected before any solve (an invalid override).
   std::string reroute_reason;
   bool batched = false;       ///< solved through the sub-team batch engine
-  /// Wall time from batch start to this result (batched requests share
-  /// their batch's wall time; a re-routed request adds its retry).
+  /// Wall time of this request's solve (batched requests share their
+  /// batch's wall time, a solo solve is timed alone; a re-routed request
+  /// adds its retry).
   double latency_seconds = 0.0;
   /// Online-refinement view of the final route (zero / false when the
   /// request ran an explicit override or the server has no table).
@@ -182,12 +186,12 @@ class SolveSession {
   [[nodiscard]] SolverConfig with_eig_hints(SolverConfig cfg) const;
   void forget_eig_estimate() { eig_min_ = eig_max_ = 0.0; }
 
-  /// Machine the session's runs model (default spruce_hybrid): resolves
-  /// `auto` tile heights against ITS per-core L2 instead of always the
-  /// default machine's.  The sweep sets this from SweepOptions::machine
-  /// so a swept auto cell and the comm pricing describe the same system.
-  void set_machine(const MachineSpec& machine) { machine_ = machine; }
-  [[nodiscard]] const MachineSpec& machine() const { return machine_; }
+  /// Machine a scaling model prices the session's runs against by
+  /// default (spruce_hybrid, as SweepOptions).  The solve itself needs no
+  /// machine: the engine derives its row-blocks from the thread team.
+  [[nodiscard]] static MachineSpec machine() {
+    return machines::spruce_hybrid();
+  }
 
  private:
   InputDeck deck_;
@@ -197,7 +201,6 @@ class SolveSession {
   int solves_taken_ = 0;
   double eig_min_ = 0.0;
   double eig_max_ = 0.0;
-  MachineSpec machine_ = machines::spruce_hybrid();
   /// Matrix Market memo: the CSR built from deck_.matrix_file, keyed by
   /// the path it came from (reloaded only when the path changes).
   std::string loaded_matrix_path_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <initializer_list>
 #include <memory>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -20,7 +21,7 @@ namespace tealeaf {
 /// documented in DESIGN.md §2.1.  One implementation serves both problem
 /// dimensions — the mesh's `dims` selects the 2-D or 3-D decomposition,
 /// chunk layout and halo-exchange scheme, so every execution-engine
-/// feature (team regions, team reductions, row tiling) applies to both.
+/// feature (team regions, team reductions, row-blocking) applies to both.
 ///
 /// The global mesh is block-decomposed over `nranks` simulated ranks, one
 /// Chunk each.  Solvers drive the chunks SPMD-style through
@@ -99,58 +100,60 @@ class SimCluster {
     });
   }
 
-  // ---- tiled execution (cache-blocked fused kernels) ---------------------
-  // The execution engine's sweeps cut into row-blocks of `tile_rows`
-  // rows (<= 0: whole chunk, one block per rank — per plane in 3-D)
-  // so the per-block working set fits in L2.  A "row" is one unit-stride
-  // line of cells; 3-D sweeps tile the flattened (plane, row) space, so
-  // the same knob row-blocks 2-D chunks and plane/row-blocks 3-D ones
-  // (tiles never span plane boundaries — each tile is a single-plane
-  // k-range).  Scheduling: with threads <= ranks each rank's blocks stay
-  // on the thread that owns the rank (the NUMA first-touch mapping); with
-  // threads > ranks the (rank, tile) pairs spread over the whole team via
-  // Team::for_range_2d, so chunks larger than the rank count no longer
-  // leave cores idle.  Results are bitwise independent of both the tile
-  // height and the schedule: non-reducing sweeps are per-cell independent,
-  // and reducing sweeps deposit per-row partials that the engine always
-  // combines in row order, then rank order.
+  // ---- row-blocked execution (the team engine's worksharing unit) -------
+  // The execution engine's sweeps run over row-blocks: a "row" is one
+  // unit-stride line of cells, and a block is a k-range of one plane (3-D
+  // sweeps block each plane separately, so no block spans a plane
+  // boundary).  The blocks derive from the team a sweep runs on — a pure
+  // function of the chunk extents, the rank count and the team size, so
+  // a batch sub-team gets its own split:
+  //  * threads <= ranks: one block per rank (per plane in 3-D), every
+  //    block on the thread that owns the rank — the NUMA first-touch
+  //    mapping of chunk construction;
+  //  * threads > ranks: T / gcd(T, R) near-equal blocks per plane of each
+  //    rank, so the (rank, block) pairs split evenly over the team via
+  //    Team::for_range_2d and chunks fewer than the threads still keep
+  //    every core busy.
+  // Results are bitwise independent of the split and the schedule:
+  // non-reducing sweeps are per-cell independent, and reducing sweeps
+  // deposit per-row partials that the engine always combines in row
+  // order, then rank order.
 
-  /// Number of row-blocks covering `rows` rows at height `tile_rows`.
-  [[nodiscard]] static int num_row_tiles(int rows, int tile_rows) {
-    if (rows <= 0) return 0;
-    if (tile_rows <= 0 || tile_rows >= rows) return 1;
-    return (rows + tile_rows - 1) / tile_rows;
+  /// Row-blocks per plane of every rank for a team of `threads` threads
+  /// over `ranks` ranks (before clamping to the rows a plane has).
+  [[nodiscard]] static int blocks_per_plane(int threads, int ranks) {
+    return threads <= ranks ? 1 : threads / std::gcd(threads, ranks);
   }
 
-  /// Tiles covering a bounds box: per plane, its k-range cut into
-  /// row-blocks.
-  [[nodiscard]] static int num_tiles(const Bounds& b, int tile_rows) {
-    return (b.lhi - b.llo) * num_row_tiles(b.khi - b.klo, tile_rows);
-  }
-
-  /// Run `body(rank, chunk, tile)` for every tile of every rank, where
-  /// `tile` is `bounds_of(rank, chunk)` restricted to one plane and one
-  /// row-block, workshared on `team`.  `bounds_of` must be a pure
+  /// Run `body(rank, chunk, tile)` for every row-block of every rank,
+  /// where `tile` is `bounds_of(rank, chunk)` restricted to one plane and
+  /// one block, workshared on `team`.  `bounds_of` must be a pure
   /// function of (rank, chunk).  No implied barrier.
   template <class BoundsFn, class Body>
-  void for_each_tile(const Team& team, int tile_rows, BoundsFn&& bounds_of,
-                     Body&& body) {
+  void for_each_tile(const Team& team, BoundsFn&& bounds_of, Body&& body) {
+    const int blocks = blocks_per_plane(team.num_threads(), nranks());
+    const auto per_plane = [blocks](const Bounds& b) {
+      return std::min(blocks, b.khi - b.klo);
+    };
+    const auto num_tiles = [&](const Bounds& b) {
+      return (b.lhi - b.llo) * per_plane(b);
+    };
     const auto run_tile = [&](int r, Chunk& c, const Bounds& b, int t) {
       const int rows = b.khi - b.klo;
-      const int h = (tile_rows <= 0 || tile_rows >= rows) ? rows : tile_rows;
-      const int per_plane = num_row_tiles(rows, tile_rows);
+      const int n = per_plane(b);
+      const int blk = t % n;
       Bounds tb = b;
-      tb.llo = b.llo + t / per_plane;
+      tb.llo = b.llo + t / n;
       tb.lhi = tb.llo + 1;
-      tb.klo = b.klo + (t % per_plane) * h;
-      tb.khi = std::min(b.khi, tb.klo + h);
+      tb.klo = b.klo + blk * rows / n;
+      tb.khi = b.klo + (blk + 1) * rows / n;
       body(r, c, tb);
     };
-    if (team.num_threads() <= nranks()) {
+    if (blocks == 1) {
       team.for_range(0, nranks(), [&](std::int64_t r) {
         Chunk& c = *chunks_[static_cast<std::size_t>(r)];
         const Bounds b = bounds_of(static_cast<int>(r), c);
-        const int nt = num_tiles(b, tile_rows);
+        const int nt = num_tiles(b);
         for (int t = 0; t < nt; ++t) run_tile(static_cast<int>(r), c, b, t);
       });
       return;
@@ -159,7 +162,7 @@ class SimCluster {
         nranks(),
         [&](std::int64_t r) -> std::int64_t {
           Chunk& c = *chunks_[static_cast<std::size_t>(r)];
-          return num_tiles(bounds_of(static_cast<int>(r), c), tile_rows);
+          return num_tiles(bounds_of(static_cast<int>(r), c));
         },
         [&](std::int64_t r, std::int64_t t) {
           Chunk& c = *chunks_[static_cast<std::size_t>(r)];
@@ -200,10 +203,10 @@ class SimCluster {
   /// including one on entry so the sweep may read fields a preceding
   /// (differently-scheduled) tile pass wrote.
   template <class Body>
-  double sum_rows_over_chunks(const Team& team, int tile_rows, Body&& body) {
+  double sum_rows_over_chunks(const Team& team, Body&& body) {
     const auto interior = [](int, Chunk& c) { return interior_bounds(c); };
     team.barrier();
-    for_each_tile(team, tile_rows, interior, body);
+    for_each_tile(team, interior, body);
     return combine_row_partials(team);
   }
 
@@ -213,11 +216,10 @@ class SimCluster {
   /// §VII future work proposes for combining CG's dot products).
   template <class Body>
   std::pair<double, double> sum2_rows_over_chunks(const Team& team,
-                                                  int tile_rows,
                                                   Body&& body) {
     const auto interior = [](int, Chunk& c) { return interior_bounds(c); };
     team.barrier();
-    for_each_tile(team, tile_rows, interior, body);
+    for_each_tile(team, interior, body);
     team.barrier();
     team.for_range(0, nranks(), [&](std::int64_t r) {
       const Chunk& c = *chunks_[static_cast<std::size_t>(r)];

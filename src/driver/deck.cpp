@@ -92,40 +92,31 @@ constexpr const char* kKnownKeys[] = {
     "tl_use_ppcg",    "tl_preconditioner_type",
     "tl_ppcg_inner_steps", "tl_eigen_cg_iters",
     "tl_cheby_presteps", "tl_halo_depth",
-    "tl_cg_fuse_reductions", "tl_tile_rows",
-    "tl_coefficient",
+    "tl_cg_fuse_reductions", "tl_coefficient",
     "tl_operator",    "tl_precision",
     "tl_route_db",    "tl_route_learn",
     "tl_route_demote_ratio",
     "matrix_file",
     "sweep_solvers",  "sweep_precons",
     "sweep_halo_depths", "sweep_mesh_sizes",
-    "sweep_threads",  "sweep_tile_rows",
-    "sweep_geometry",
+    "sweep_threads",  "sweep_geometry",
     "sweep_operator", "sweep_precision",
     "sweep_ranks"};
 
-/// Keys of the retired engine tiers (fused, pipelined) and the one
-/// engine setting that replaced them.
-struct RetiredKey {
-  const char* key;
-  const char* replacement;
-};
-constexpr RetiredKey kRetiredKeys[] = {
-    {"tl_fuse_kernels", "tl_tile_rows"},
-    {"tl_pipeline", "tl_tile_rows"},
-    {"sweep_fused", "sweep_tile_rows"},
-    {"sweep_pipeline", "sweep_tile_rows"}};
+/// Keys of the retired engine settings: the fused and pipelined engine
+/// tiers, and the row-block height the engine now derives itself.
+constexpr const char* kRetiredKeys[] = {
+    "tl_fuse_kernels", "tl_pipeline",    "tl_tile_rows",
+    "sweep_fused",     "sweep_pipeline", "sweep_tile_rows"};
 
-/// Reject a retired engine key with a pointer at its replacement.
+/// Reject a retired engine key: the one engine has no settings left.
 void reject_retired_key(const std::string& key) {
-  for (const RetiredKey& r : kRetiredKeys) {
-    if (key == r.key) {
+  for (const char* retired : kRetiredKeys) {
+    if (key == retired) {
       throw TeaError("deck: key '" + key +
-                     "' was retired — every solve now runs the one tiled "
-                     "team engine, whose only setting is the row-block "
-                     "height; use '" + r.replacement +
-                     "' instead (-1 = auto, the default)");
+                     "' was retired — every solve runs the one team "
+                     "engine, which derives its row-blocks from the thread "
+                     "team and rank count; remove the key");
     }
   }
 }
@@ -149,7 +140,7 @@ std::size_t edit_distance(const std::string& a, const std::string& b) {
 }
 
 /// Unknown-key error with a "did you mean" suggestion when a known key is
-/// within two edits — a mistyped tile/fuse knob must fail loudly, not
+/// within two edits — a mistyped knob must fail loudly, not
 /// silently leave the default in force.
 [[noreturn]] void throw_unknown_key(const std::string& key) {
   std::string best;
@@ -342,9 +333,6 @@ InputDeck InputDeck::parse(std::istream& in) {
       deck.solver.halo_depth = static_cast<int>(to_double(value, key));
     } else if (key == "tl_cg_fuse_reductions") {
       deck.solver.fuse_cg_reductions = to_flag(value, key);
-    } else if (key == "tl_tile_rows") {
-      deck.solver.tile_rows =
-          (value == "auto") ? -1 : static_cast<int>(to_double(value, key));
     } else if (key == "tl_operator") {
       deck.solver.op = operator_kind_from_string(value);
     } else if (key == "tl_precision") {
@@ -372,8 +360,6 @@ InputDeck InputDeck::parse(std::istream& in) {
       deck.sweep.mesh_sizes = split_int_list(value, key);
     } else if (key == "sweep_threads") {
       deck.sweep.thread_counts = split_int_list(value, key);
-    } else if (key == "sweep_tile_rows") {
-      deck.sweep.tile_rows = split_int_list(value, key);
     } else if (key == "sweep_geometry") {
       deck.sweep.geometries.clear();
       for (const std::string& g : split_list(value, key)) {
@@ -444,7 +430,6 @@ std::string InputDeck::to_string() const {
   os << "tl_eigen_cg_iters=" << solver.eigen_cg_iters << "\n";
   os << "tl_halo_depth=" << solver.halo_depth << "\n";
   if (solver.fuse_cg_reductions) os << "tl_cg_fuse_reductions\n";
-  if (solver.tile_rows >= 0) os << "tl_tile_rows=" << solver.tile_rows << "\n";
   if (solver.op != OperatorKind::kStencil) {
     os << "tl_operator=" << tealeaf::to_string(solver.op) << "\n";
   }
@@ -476,7 +461,6 @@ std::string InputDeck::to_string() const {
       join("sweep_mesh_sizes", sweep.mesh_sizes, [](int n) { return n; });
     }
     join("sweep_threads", sweep.thread_counts, [](int t) { return t; });
-    join("sweep_tile_rows", sweep.tile_rows, [](int t) { return t; });
     if (!sweep.geometries.empty()) {
       join("sweep_geometry", sweep.geometries,
            [](int d) { return d == 3 ? "3d" : "2d"; });

@@ -24,7 +24,6 @@ std::string SweepCase::label() const {
   std::ostringstream os;
   os << solver << "/" << to_string(precon) << "/d" << halo_depth << "/n"
      << mesh_n << "/t" << threads;
-  if (tile_rows >= 0) os << "/b" << tile_rows;
   if (dims == 3) os << "/3d";
   if (op != "stencil") os << "/" << op;
   if (precision == "single") os << "/f32";
@@ -59,14 +58,11 @@ std::vector<SweepCase> enumerate_cases(const SweepSpec& spec, int base_mesh,
       for (const int depth : spec.halo_depths) {
         for (const int mesh : meshes) {
           for (const int threads : spec.thread_counts) {
-            for (const int tile : spec.tile_rows) {
-              for (const int dims : geometries) {
-                for (const std::string& op : operators) {
-                  for (const std::string& prec : precisions) {
-                    cases.push_back(
-                        {solver, precon, depth, mesh, threads, tile, dims,
-                         op, prec});
-                  }
+            for (const int dims : geometries) {
+              for (const std::string& op : operators) {
+                for (const std::string& prec : precisions) {
+                  cases.push_back(
+                      {solver, precon, depth, mesh, threads, dims, op, prec});
                 }
               }
             }
@@ -121,11 +117,8 @@ class ThreadScope {
 /// Run one cell through the SolveSession facade (the same entry path
 /// TeaLeafApp and the solve server use).
 void run_native_cell(const InputDeck& deck, int ranks, int steps,
-                     const MachineSpec& machine, SweepOutcome& out) {
+                     SweepOutcome& out) {
   SolveSession session(deck, ranks);
-  // An `auto` tile height resolves against the swept machine's L2, so the
-  // cell's execution and its comm pricing describe the same system.
-  session.set_machine(machine);
   session.cluster().reset_stats();
   out.converged = true;
   for (int s = 0; s < steps; ++s) {
@@ -197,7 +190,6 @@ SweepReport run_sweep(const InputDeck& base, const SweepSpec& spec,
     deck.end_step = steps;
     deck.solver.precon = cs.precon;
     deck.solver.halo_depth = cs.halo_depth;
-    deck.solver.tile_rows = cs.tile_rows;
     deck.solver.op = operator_kind_from_string(cs.op);
     deck.solver.precision = precision_from_string(cs.precision);
 
@@ -223,7 +215,7 @@ SweepReport run_sweep(const InputDeck& base, const SweepSpec& spec,
       // and record no halo traffic.
       const int ranks = needs_single_rank(deck.solver) ? 1 : spec.ranks;
       try {
-        run_native_cell(deck, ranks, steps, opts.machine, out);
+        run_native_cell(deck, ranks, steps, out);
       } catch (const TeaError& e) {
         // A solver contract violation mid-run fails this row only; the
         // rest of the cross-product still runs.
@@ -293,8 +285,8 @@ namespace {
 
 constexpr const char* kCsvColumns[] = {
     "solver",      "precon",        "halo_depth",   "mesh",
-    "threads",     "tile_rows",     "geometry",     "operator",
-    "precision",   "sweep_ranks",   "sweep_steps",
+    "threads",     "geometry",      "operator",     "precision",
+    "sweep_ranks", "sweep_steps",
     "status",      "converged",     "iterations",   "inner_steps",
     "spmv",        "reductions",    "exchanges",    "messages",
     "message_bytes", "final_norm",  "solve_seconds", "comm_seconds",
@@ -340,8 +332,20 @@ double csv_double(const std::string& s, const char* column) {
   throw TeaError(std::string("sweep ") + form + ": field '" + field +
                  "' belongs to a retired execution-engine tier — this "
                  "report was timed on engines that no longer exist; re-run "
-                 "the sweep (tile height is the one engine axis: "
-                 "sweep_tile_rows)");
+                 "the sweep");
+}
+
+/// Reports from before the engine derived its row-blocks carry a
+/// `tile_rows` field.  A cell recorded at auto (-1) still describes a
+/// route the engine runs; an explicit height (>= 0) timed a row-block
+/// split the engine no longer takes, so ranking it would mis-route.
+void check_retired_tile_rows(const char* form, int tile_rows) {
+  if (tile_rows < 0) return;
+  throw TeaError(std::string("sweep ") + form + ": a cell was timed at " +
+                 "tile_rows = " + std::to_string(tile_rows) +
+                 ", a row-block height the engine no longer takes (it "
+                 "derives its blocks from the thread team) — re-run the "
+                 "sweep");
 }
 
 }  // namespace
@@ -360,7 +364,7 @@ std::vector<std::string> SweepReport::to_csv_lines() const {
     const char* status =
         c.skipped ? "skipped" : (!c.fail_reason.empty() ? "failed" : "ok");
     csv.row(c.config.solver, to_string(c.config.precon), c.config.halo_depth,
-            c.config.mesh_n, c.config.threads, c.config.tile_rows,
+            c.config.mesh_n, c.config.threads,
             c.config.dims == 3 ? "3d" : "2d",
             c.config.op, c.config.precision, ranks, steps, status,
             c.converged ? 1 : 0,
@@ -389,48 +393,57 @@ SweepReport SweepReport::from_csv_lines(
     while (std::getline(in, cell, ',')) cells.push_back(cell);
     return cells;
   };
-  const std::size_t ncols = std::size(kCsvColumns);
-  for (const std::string& column : split(lines.front())) {
+  const std::vector<std::string> header = split(lines.front());
+  // A `tile_rows` column (reports from before the engine derived its
+  // row-blocks) is checked per row, then dropped.
+  const auto tile_col = std::find(header.begin(), header.end(), "tile_rows");
+  const bool has_tile_col = tile_col != header.end();
+  for (const std::string& column : header) {
     if (column == "fused" || column == "pipeline") {
       reject_retired_engine_field("csv", column);
     }
   }
-  TEA_REQUIRE(split(lines.front()).size() == ncols,
-              "sweep csv: unexpected header");
+  TEA_REQUIRE(
+      header.size() == std::size(kCsvColumns) + (has_tile_col ? 1 : 0),
+      "sweep csv: unexpected header");
 
   SweepReport report;
   for (std::size_t i = 1; i < lines.size(); ++i) {
-    const std::vector<std::string> f = split(lines[i]);
-    TEA_REQUIRE(f.size() == ncols, "sweep csv: short row");
+    std::vector<std::string> f = split(lines[i]);
+    TEA_REQUIRE(f.size() == header.size(), "sweep csv: short row");
+    if (has_tile_col) {
+      const auto at = f.begin() + (tile_col - header.begin());
+      check_retired_tile_rows("csv", csv_int(*at, "tile_rows"));
+      f.erase(at);
+    }
     SweepOutcome out;
     out.config.solver = f[0];
     out.config.precon = precon_type_from_string(f[1]);
     out.config.halo_depth = csv_int(f[2], "halo_depth");
     out.config.mesh_n = csv_int(f[3], "mesh");
     out.config.threads = csv_int(f[4], "threads");
-    out.config.tile_rows = csv_int(f[5], "tile_rows");
-    TEA_REQUIRE(f[6] == "2d" || f[6] == "3d", "sweep csv: bad geometry");
-    out.config.dims = f[6] == "3d" ? 3 : 2;
-    (void)operator_kind_from_string(f[7]);  // validates the kind
-    out.config.op = f[7];
-    out.config.precision = to_string(precision_from_string(f[8]));
-    report.ranks = csv_int(f[9], "sweep_ranks");
-    report.steps = csv_int(f[10], "sweep_steps");
-    out.skipped = f[11] == "skipped";
+    TEA_REQUIRE(f[5] == "2d" || f[5] == "3d", "sweep csv: bad geometry");
+    out.config.dims = f[5] == "3d" ? 3 : 2;
+    (void)operator_kind_from_string(f[6]);  // validates the kind
+    out.config.op = f[6];
+    out.config.precision = to_string(precision_from_string(f[7]));
+    report.ranks = csv_int(f[8], "sweep_ranks");
+    report.steps = csv_int(f[9], "sweep_steps");
+    out.skipped = f[10] == "skipped";
     // The CSV form reduces fail_reason to the status keyword (free-text
     // reasons may contain commas); JSON carries the full text.
-    if (f[11] == "failed") out.fail_reason = "failed";
-    out.converged = csv_int(f[12], "converged") != 0;
-    out.iterations = csv_int(f[13], "iterations");
-    out.inner_steps = csv_ll(f[14], "inner_steps");
-    out.spmv = csv_ll(f[15], "spmv");
-    out.reductions = csv_ll(f[16], "reductions");
-    out.exchanges = csv_ll(f[17], "exchanges");
-    out.messages = csv_ll(f[18], "messages");
-    out.message_bytes = csv_ll(f[19], "message_bytes");
-    out.final_norm = csv_double(f[20], "final_norm");
-    out.solve_seconds = csv_double(f[21], "solve_seconds");
-    out.comm_seconds = csv_double(f[22], "comm_seconds");
+    if (f[10] == "failed") out.fail_reason = "failed";
+    out.converged = csv_int(f[11], "converged") != 0;
+    out.iterations = csv_int(f[12], "iterations");
+    out.inner_steps = csv_ll(f[13], "inner_steps");
+    out.spmv = csv_ll(f[14], "spmv");
+    out.reductions = csv_ll(f[15], "reductions");
+    out.exchanges = csv_ll(f[16], "exchanges");
+    out.messages = csv_ll(f[17], "messages");
+    out.message_bytes = csv_ll(f[18], "message_bytes");
+    out.final_norm = csv_double(f[19], "final_norm");
+    out.solve_seconds = csv_double(f[20], "solve_seconds");
+    out.comm_seconds = csv_double(f[21], "comm_seconds");
     // The last two columns (speedup, rank) are derived; recomputed on
     // demand from the parsed cells.
     report.cells.push_back(std::move(out));
@@ -452,7 +465,6 @@ io::JsonValue SweepReport::to_json() const {
     cell.set("halo_depth", c.config.halo_depth);
     cell.set("mesh", c.config.mesh_n);
     cell.set("threads", c.config.threads);
-    cell.set("tile_rows", c.config.tile_rows);
     cell.set("geometry", c.config.dims == 3 ? "3d" : "2d");
     cell.set("operator", c.config.op);
     cell.set("precision", c.config.precision);
@@ -506,8 +518,8 @@ SweepReport SweepReport::from_json(const io::JsonValue& doc) {
       if (cell.contains(retired)) reject_retired_engine_field("json", retired);
     }
     if (cell.contains("tile_rows")) {
-      out.config.tile_rows =
-          static_cast<int>(cell.at("tile_rows").as_number());
+      check_retired_tile_rows(
+          "json", static_cast<int>(cell.at("tile_rows").as_number()));
     }
     if (cell.contains("geometry")) {
       out.config.dims = cell.at("geometry").as_string() == "3d" ? 3 : 2;

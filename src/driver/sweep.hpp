@@ -18,8 +18,6 @@ struct SweepCase {
   int halo_depth = 1;  ///< matrix-powers depth (PPCG)
   int mesh_n = 0;      ///< square mesh edge of this run
   int threads = 0;     ///< worker threads (0 = runtime default)
-  /// Engine row-block height (SolverConfig::tile_rows; -1 = auto).
-  int tile_rows = -1;
   int dims = 2;        ///< problem geometry: 2 (5-point) or 3 (7-point, n³)
   /// Operator representation: "stencil" | "csr" | "sell-c-sigma"
   /// (SolverConfig::op).
@@ -28,9 +26,8 @@ struct SweepCase {
   /// (SolverConfig::precision).
   std::string precision = "double";
 
-  /// Compact identifier, e.g. "ppcg/jac_diag/d4/n64/t2" (cells with an
-  /// explicit tile height carry "/b<rows>" — none at the auto default —
-  /// 3-D cells "/3d", assembled-operator cells "/csr" or "/sell-c-sigma",
+  /// Compact identifier, e.g. "ppcg/jac_diag/d4/n64/t2" (3-D cells carry
+  /// "/3d", assembled-operator cells "/csr" or "/sell-c-sigma",
   /// reduced-precision cells "/f32" or "/mixed").
   [[nodiscard]] std::string label() const;
 };
@@ -99,7 +96,7 @@ struct SweepReport {
 
 /// Expand the axes into the full cross-product in deterministic order:
 /// solvers → preconditioners → halo depths → mesh sizes → threads →
-/// tile rows → geometries → operators → precision,
+/// geometries → operators → precision,
 /// each axis in its declared order (precision entries are canonicalised,
 /// so "fp32" enumerates as "single").
 /// `base_mesh` substitutes for an empty mesh-size axis and `base_dims`

@@ -1,22 +1,5 @@
 #include "model/machine.hpp"
 
-#include <algorithm>
-
-namespace tealeaf {
-
-int auto_tile_rows(const MachineSpec& machine, int chunk_nx,
-                   int halo_depth) {
-  constexpr int kFallbackRows = 64;
-  const int row_cells = chunk_nx + 2 * std::max(0, halo_depth);
-  if (machine.l2_kb <= 0.0 || row_cells <= 0) return kFallbackRows;
-  const double row_bytes =
-      static_cast<double>(kTileWorkingSetFields) * 8.0 * row_cells;
-  const double budget = machine.l2_kb * 1024.0 / 2.0;
-  return std::clamp(static_cast<int>(budget / row_bytes), 1, 1 << 20);
-}
-
-}  // namespace tealeaf
-
 namespace tealeaf::machines {
 
 // Constants are calibrated once against the paper's headline numbers

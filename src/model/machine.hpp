@@ -22,10 +22,10 @@ struct MachineSpec {
   double mem_bw_gbs = 100.0;     ///< effective streaming bandwidth per node
   double cache_mb = 0.0;         ///< last-level cache per node (0 = none)
   double cache_bw_mult = 1.0;    ///< bandwidth boost when resident in cache
-  /// Private L2 per core (0 = not modelled).  Feeds the tiled execution
-  /// engine's `auto` tile height and the scaling model's blocked-cache
-  /// bytes/cell variant: a row-block whose working set fits here keeps a
-  /// fused kernel's intermediate field out of DRAM.
+  /// Private L2 per core (0 = not modelled).  Feeds the scaling model's
+  /// blocked-cache bytes/cell variant: when a row of the fused sweeps'
+  /// working set fits here, a fused kernel's intermediate field stays out
+  /// of DRAM.
   double l2_kb = 0.0;
   double kernel_launch_us = 1.0; ///< fixed overhead per kernel sweep
 
@@ -57,17 +57,8 @@ namespace machines {
 }  // namespace machines
 
 /// Number of double fields a fused sweep streams per row — the working-set
-/// unit behind both auto tiling and the model's blocked-cache variant
-/// (res/dir/acc/w plus the two face-coefficient fields).
+/// unit behind the scaling model's blocked-cache variant (res/dir/acc/w
+/// plus the two face-coefficient fields).
 inline constexpr int kTileWorkingSetFields = 6;
-
-/// Derive the `auto` row-block height for SolverConfig::tile_rows = -1:
-/// the number of halo-extended rows of kTileWorkingSetFields double fields
-/// that fit in HALF the machine's per-core L2 (the other half is left to
-/// the read-ahead of neighbouring rows and everything else that lives in
-/// the cache).  Falls back to 64 rows when the machine does not model an
-/// L2.  Always >= 1.
-[[nodiscard]] int auto_tile_rows(const MachineSpec& machine, int chunk_nx,
-                                 int halo_depth);
 
 }  // namespace tealeaf

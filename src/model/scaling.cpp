@@ -47,7 +47,7 @@ ScalingSeries measured_series(std::string label,
 class ScalingModel::Cost {
  public:
   Cost(const MachineSpec& spec, const GlobalMesh& mesh, int nodes,
-       int tile_rows = 0, double elem_scale = 1.0)
+       double elem_scale = 1.0)
       : spec_(spec), nodes_(nodes), dims_(mesh.dims) {
     const long long want_ranks =
         static_cast<long long>(nodes) * spec.ranks_per_node;
@@ -75,19 +75,17 @@ class ScalingModel::Cost {
     rank_bw_ = spec.mem_bw_gbs * 1.0e9 / spec.ranks_per_node;
     if (in_cache) rank_bw_ *= spec.cache_bw_mult;
 
-    // Row-blocked execution: a row-block whose working set fits the
-    // per-core L2 keeps a fused kernel's intermediate field resident
-    // between its phases, so those sweeps stream the blocked bytes/cell
-    // variant instead.  An `auto` height (-1) resolves here, where the
-    // modelled chunk width is known — mirroring what run_solver does
-    // with the real chunk.
-    if (tile_rows < 0) tile_rows = auto_tile_rows(spec, cnx_, 2);
-    if (tile_rows > 0 && spec.l2_kb > 0.0) {
-      // fp32 solves stream 4-byte elements (elem_scale 0.5), so the same
-      // row-block is half the bytes and fits L2 at twice the height.
-      const double tile_bytes = static_cast<double>(tile_rows) * cnx_ *
-                                kTileWorkingSetFields * 8.0 * elem_scale;
-      blocked_ = tile_bytes <= spec.l2_kb * 1024.0;
+    // Row-blocked execution: while one halo-extended row of the fused
+    // sweeps' working set fits the per-core L2, a fused kernel's
+    // intermediate field stays resident between its phases (the in-block
+    // row lag needs only a few rows), so those sweeps stream the blocked
+    // bytes/cell variant instead.  fp32 solves stream 4-byte elements
+    // (elem_scale 0.5), so their rows are half the bytes.
+    if (spec.l2_kb > 0.0) {
+      constexpr int kModelHalo = 2;
+      const double row_bytes = static_cast<double>(cnx_ + 2 * kModelHalo) *
+                               kTileWorkingSetFields * 8.0 * elem_scale;
+      blocked_ = row_bytes <= spec.l2_kb * 1024.0;
     }
   }
 
@@ -107,8 +105,8 @@ class ScalingModel::Cost {
   }
 
   /// A sweep with a blocked-cache bytes/cell variant: `blocked_bytes`
-  /// applies when the configured row-block fits in L2, `streaming_bytes`
-  /// otherwise (untiled, or tiles too tall for the cache).
+  /// applies when a row of the working set fits in L2, `streaming_bytes`
+  /// otherwise (rows too wide for the cache).
   void sweep_blocked(double streaming_bytes, double blocked_bytes,
                      int ext = 0) {
     sweep(blocked_ ? blocked_bytes : streaming_bytes, ext);
@@ -242,7 +240,7 @@ double ScalingModel::run_seconds(const SolverRunSummary& run,
   // bandwidth case.  The per-step field setup, the fp64 refinement guard
   // and the energy recovery stay at full width.
   const double fscale = run.precision == Precision::kDouble ? 1.0 : 0.5;
-  Cost cost(spec_, mesh_, nodes, run.tile_rows, fscale);
+  Cost cost(spec_, mesh_, nodes, fscale);
   const bool diag = run.precon == PreconType::kJacobiDiag;
   const bool block = run.precon == PreconType::kJacobiBlock;
   // 7-point stencil sweeps stream the extra Kz face-coefficient field.

@@ -15,9 +15,6 @@ SolverRunSummary SolverRunSummary::from(const SolverConfig& cfg,
   run.inner_steps = cfg.inner_steps;
   run.cheby_check_interval = cfg.cheby_check_interval;
   run.fused_cg = cfg.fuse_cg_reductions;
-  // -1 (auto) is kept symbolic; the scaling model resolves it against
-  // the modelled machine's L2 and chunk width.
-  run.tile_rows = cfg.tile_rows;
   run.precision = cfg.precision;
   run.refine_steps = stats.refine_steps;
   run.eigen_cg_iters = stats.eigen_cg_iters;

@@ -20,13 +20,6 @@ struct SolverRunSummary {
   int inner_steps = 10;    ///< PPCG inner Chebyshev steps per outer
   int cheby_check_interval = 20;
   bool fused_cg = false;   ///< Chronopoulos-Gear single-reduction CG
-  /// Row-block height the engine ran with (0 = one block per rank;
-  /// -1 = auto, resolved by the scaling model against the modelled
-  /// machine's L2).  The communication structure is unchanged by tiling;
-  /// the scaling model uses this to pick the blocked-cache bytes/cell
-  /// variants.
-  int tile_rows = 0;
-
   /// Storage precision the solve ran with (SolverConfig::precision).
   /// single/mixed solves stream 4-byte elements through every solver-loop
   /// field sweep and halo exchange (half the fp64 bytes); mixed

@@ -102,12 +102,11 @@ void cheby_init_dir(Chunk& c, FieldId res, FieldId dir, double theta,
                     bool diag_precon, const Bounds& bounds);
 
 // ---- row-blocked solver kernels (the execution engine) ------------------
-// The execution engine (SolverConfig::tile_rows) cuts every solver sweep
-// into row-blocks so the per-block working set fits in L2, and
-// workshares the (rank, row-block) pairs over the whole thread team.  A
-// "row" is one unit-stride line of cells — (plane l, row k) in 3-D — and
-// the engine tiles the flattened (l, k) row space, so `tl_tile_rows`
-// row-blocks 2-D sweeps and plane/row-blocks 3-D ones with the same knob.
+// The execution engine (SimCluster::for_each_tile) cuts every solver
+// sweep into row-blocks derived from the thread team and workshares the
+// (rank, row-block) pairs over it.  A "row" is one unit-stride line of
+// cells — (plane l, row k) in 3-D — and every block is a k-range of one
+// plane, so the same rule blocks 2-D and 3-D sweeps.
 // Each kernel below processes only the rows of the tile box `tb` (a
 // single-plane k-range in the engine's schedule; tb's j range is ignored
 // — the sweep bounds `b` or the interior provide it), built on per-row

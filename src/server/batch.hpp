@@ -12,7 +12,7 @@ namespace tealeaf {
 /// with.  `stats` is filled by solve_batched.
 struct BatchItem {
   SimCluster2D* cluster = nullptr;
-  SolverConfig config;  ///< pre-validated (tile_rows = -1 auto is fine)
+  SolverConfig config;  ///< pre-validated
   SolveStats stats;
 };
 

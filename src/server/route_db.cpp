@@ -10,12 +10,19 @@ namespace tealeaf {
 
 namespace {
 
-/// True when a route key carries a retired engine-tier segment ("fused"
-/// or "pipe").
-bool has_retired_engine_suffix(const std::string& route_key) {
-  const std::string padded = "/" + route_key + "/";
-  return padded.find("/fused/") != std::string::npos ||
-         padded.find("/pipe/") != std::string::npos;
+/// True when a route key carries a retired engine segment: an engine
+/// tier ("fused", "pipe") or an explicit row-block height ("b<rows>").
+bool has_retired_engine_segment(const std::string& route_key) {
+  std::istringstream in(route_key);
+  std::string seg;
+  while (std::getline(in, seg, '/')) {
+    if (seg == "fused" || seg == "pipe") return true;
+    if (seg.size() > 1 && seg[0] == 'b' &&
+        seg.find_first_not_of("0123456789", 1) == std::string::npos) {
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace
@@ -160,10 +167,12 @@ RouteDatabase RouteDatabase::from_json(const io::JsonValue& doc) {
   RouteDatabase db;
   for (const auto& [shape, routes] : doc.at("shapes").members()) {
     for (const auto& [route, cell] : routes.members()) {
-      TEA_REQUIRE(!has_retired_engine_suffix(route),
+      TEA_REQUIRE(!has_retired_engine_segment(route),
                   "route db: route '" + route + "' names a retired engine "
-                  "tier (/fused or /pipe); its timings no longer describe "
-                  "any route — re-run the sweep to record a fresh database");
+                  "setting (/fused, /pipe, or a /b<rows> row-block height "
+                  "— the engine now derives its blocks from the team); its "
+                  "timings no longer describe any route — re-run the sweep "
+                  "to record a fresh database");
       RouteObservation obs;
       obs.ewma_seconds = cell.at("ewma_seconds").as_number();
       obs.predicted_seconds = cell.at("predicted_seconds").as_number();

@@ -27,7 +27,7 @@ struct RouteObservation {
 };
 
 /// Persistent store of the online routing statistics, keyed by problem
-/// shape ("2d/n48/r2") then route ("cg/none/d1/b32") — the route key
+/// shape ("2d/n48/r2") then route ("cg/none/d1/csr") — the route key
 /// deliberately excludes the mesh size (shape carries it) and includes
 /// the precision, so fp32/mixed evidence can never leak into a double
 /// route's cell.  Serialises as versioned JSON; `merge` folds another
@@ -45,7 +45,10 @@ class RouteDatabase {
   /// Version 2 dropped the retired fused/pipelined engine tiers: a
   /// version 1 file (or a route key carrying "/fused" or "/pipe") was
   /// timed on engines that no longer exist and is rejected with a
-  /// re-run-the-sweep error, never silently re-ranked.
+  /// re-run-the-sweep error, never silently re-ranked.  So is a key with
+  /// an explicit row-block height ("/b<rows>"): the engine derives its
+  /// blocks from the team now.  Keys recorded at the old auto height
+  /// carry no such segment and keep loading.
   static constexpr int kVersion = 2;
 
   /// Fold one measured latency into (shape, route): EWMA update with

@@ -16,7 +16,6 @@ namespace {
 
 /// Shared tail of label() and route_key(): every axis past the mesh size.
 void append_axis_suffixes(std::ostringstream& os, const RouteEntry& e) {
-  if (e.config.tile_rows >= 0) os << "/b" << e.config.tile_rows;
   if (e.dims == 3) os << "/3d";
   if (e.config.op != OperatorKind::kStencil) {
     os << "/" << to_string(e.config.op);
@@ -61,7 +60,6 @@ RoutingTable RoutingTable::from_sweep(const SweepReport& report) {
     mc.entry.config.type = solver_type_from_string(cell.config.solver);
     mc.entry.config.precon = cell.config.precon;
     mc.entry.config.halo_depth = cell.config.halo_depth;
-    mc.entry.config.tile_rows = cell.config.tile_rows;
     mc.entry.config.op = operator_kind_from_string(cell.config.op);
     mc.entry.config.precision = precision_from_string(cell.config.precision);
     mc.entry.threads = cell.config.threads;

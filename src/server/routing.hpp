@@ -36,7 +36,7 @@ struct ObserveOutcome {
 
 /// One routable configuration: a sweep cell that converged, reduced to
 /// what the server needs to reproduce it — solver × preconditioner ×
-/// matrix-powers depth × tile height × geometry × operator × precision,
+/// matrix-powers depth × geometry × operator × precision,
 /// plus the evidence (measured or model-projected seconds) that ranked
 /// it.
 struct RouteEntry {
@@ -57,14 +57,13 @@ struct RouteEntry {
   bool demoted = false;        ///< ranked below every non-demoted entry
 
   /// Compact identifier in the sweep's label style, led by
-  /// to_string(config.type), e.g. "ppcg/jac_diag/d4/n512/b32" ("~" prefix
-  /// when model-projected; the "/b<rows>" tile suffix is omitted at the
-  /// auto default).
+  /// to_string(config.type), e.g. "ppcg/jac_diag/d4/n512" ("~" prefix
+  /// when model-projected).
   [[nodiscard]] std::string label() const;
 
   /// Database key for this route: label() minus the mesh size (the shape
   /// key carries it) and minus the "~" projection marker, e.g.
-  /// "ppcg/jac_diag/d4/b32".  Includes the precision suffix, so fp32 /
+  /// "ppcg/jac_diag/d4".  Includes the precision suffix, so fp32 /
   /// mixed evidence lives in its own cell.
   [[nodiscard]] std::string route_key() const;
 

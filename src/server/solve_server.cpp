@@ -45,27 +45,32 @@ void SolveServer::submit(SolveRequest req) { queue_.push_back(std::move(req)); }
 
 namespace {
 
-/// A routing entry's structural axes (solver, precon, depth, tile height,
-/// operator, precision) overlaid on a deck's config, so the deck's
+/// A routing entry's structural axes (solver, precon, depth, operator,
+/// precision) overlaid on a deck's config, so the deck's
 /// tolerances (eps, max_iters, prestep count) still govern the solve.
 SolverConfig overlay_route(SolverConfig deck_config, const RouteEntry& e) {
   deck_config.type = e.config.type;
   deck_config.precon = e.config.precon;
   deck_config.halo_depth = e.config.halo_depth;
-  deck_config.tile_rows = e.config.tile_rows;
   deck_config.op = e.config.op;
   deck_config.precision = e.config.precision;
   return deck_config;
 }
 
-/// True when cfg passes SolverConfig::validated().
-bool is_valid(const SolverConfig& cfg) {
+/// Why `cfg` cannot serve a request on `nranks` simulated ranks, or ""
+/// when it can: SolverConfig::validated()'s rules plus run_solver's
+/// one-rank rule for mg-pcg.
+std::string config_error(const SolverConfig& cfg, int nranks) {
   try {
     (void)cfg.validated();
-  } catch (const TeaError&) {
-    return false;
+  } catch (const TeaError& e) {
+    return e.what();
   }
-  return true;
+  if (needs_single_rank(cfg) && nranks != 1) {
+    return std::string(to_string(cfg.type)) +
+           " solves the undecomposed grid: run it on one simulated rank";
+  }
+  return "";
 }
 
 /// Solo solve of one session: the re-route retry, run() and every request
@@ -144,7 +149,10 @@ std::vector<SolveResult> SolveServer::drain() {
   };
 
   // Route first: the chosen configuration fixes each request's halo
-  // allocation and so its shape key.  Groups keep arrival order.
+  // allocation and so its shape key.  Groups keep arrival order.  A
+  // request whose configuration cannot run (an invalid explicit override,
+  // say) fails on its own here, before any solve, so it cannot take the
+  // rest of the drain down with it.
   std::vector<Pending> pending(reqs.size());
   std::map<std::string, std::vector<std::size_t>> groups;
   std::vector<std::string> group_order;
@@ -153,6 +161,17 @@ std::vector<SolveResult> SolveServer::drain() {
     p.order = i;
     p.req = &reqs[i];
     p.routed = route_request(reqs[i]);
+    const std::string error = config_error(p.routed.config, reqs[i].nranks);
+    if (!error.empty()) {
+      SolveResult& res = results[i];
+      res.config = p.routed.config;
+      res.route_label = p.routed.label;
+      res.tag = reqs[i].tag;
+      res.attempts = 0;
+      res.reroute_reason = error;
+      ++stats_.failures;
+      continue;
+    }
     // The routed (or override) precision is part of the session shape:
     // write it back into this drain's copy of the deck so the group key,
     // the cache acquire and the session reset all agree, and an fp64
@@ -209,23 +228,28 @@ std::vector<SolveResult> SolveServer::drain() {
         }
       }
 
-      // mg-pcg and single/mixed members solve solo: run_solver opens
-      // their parallel work itself.
+      // Batch members share the batch's wall time.
+      const double batch_seconds = batch_timer.elapsed_s();
+      for (std::size_t b = 0; b < items.size(); ++b) {
+        SolveResult& res = results[batch[b]->order];
+        res.stats = items[b].stats;
+        res.batched = items.size() > 1;
+        res.latency_seconds = batch_seconds;
+      }
+      // mg-pcg and single/mixed members solve solo, one after another
+      // (run_solver opens their parallel work itself), each timed alone.
       for (std::size_t b = 0; b < chunk; ++b) {
         Pending& p = pending[members[at + b]];
         if (!runs_on_team(p.routed.config)) {
-          results[p.order].stats = solve_solo(*p.session, p.routed.config);
+          Timer solo_timer;
+          SolveResult& res = results[p.order];
+          res.stats = solve_solo(*p.session, p.routed.config);
+          res.latency_seconds = solo_timer.elapsed_s();
         }
       }
       ++stats_.batches;
       if (items.size() > 1) {
         stats_.batched_requests += static_cast<long long>(items.size());
-      }
-
-      const double batch_seconds = batch_timer.elapsed_s();
-      for (std::size_t b = 0; b < items.size(); ++b) {
-        results[batch[b]->order].stats = items[b].stats;
-        results[batch[b]->order].batched = items.size() > 1;
       }
       for (std::size_t b = 0; b < chunk; ++b) {
         Pending& p = pending[members[at + b]];
@@ -234,7 +258,6 @@ std::vector<SolveResult> SolveServer::drain() {
         res.config = routed.config;
         res.route_label = routed.label;
         res.tag = p.req->tag;
-        res.latency_seconds = batch_seconds;
 
         // One-shot breakdown re-route: hinted solves fall back to the
         // prestepped form of the same route; otherwise the next-ranked
@@ -260,11 +283,11 @@ std::vector<SolveResult> SolveServer::drain() {
               // precision (written into this drain's deck above), so the
               // retry keeps it rather than adopting the fallback's (a
               // precision flip would need a new session).  An entry that
-              // is invalid at that precision (mg-pcg is double-only) is
-              // passed over rather than thrown out of the drain.
+              // cannot run here (mg-pcg is double-only) is passed over
+              // rather than thrown out of the drain.
               SolverConfig candidate = overlay_route(p.req->deck.solver, e);
               candidate.precision = p.req->deck.solver.precision;
-              if (!is_valid(candidate)) continue;
+              if (!config_error(candidate, p.req->nranks).empty()) continue;
               retry = candidate;
               retry_label = e.label();
               retry_route_key = e.route_key();

@@ -49,7 +49,7 @@ struct ServerOptions {
 
 /// Service-side counters.  Latency quantiles are per-request wall times
 /// (a batched request's latency is its batch's wall time — requests wait
-/// for their batch).
+/// for their batch; a solo solve's is its own).
 struct ServerStats {
   long long requests = 0;
   long long batches = 0;            ///< drain flushes handed to the engine
@@ -90,8 +90,10 @@ class SolveServer {
   /// Run every queued request: group by problem shape (preserving arrival
   /// order within a group), borrow sessions from the cache, solve each
   /// group through the batch engine in chunks of at most max_batch, then
-  /// apply the one-shot breakdown re-route to any failed item.  Results
-  /// return in arrival order.
+  /// apply the one-shot breakdown re-route to any failed item.  A request
+  /// whose configuration cannot run fails alone (attempts = 0, reason in
+  /// reroute_reason) instead of throwing.  Results return in arrival
+  /// order.
   [[nodiscard]] std::vector<SolveResult> drain();
 
   /// submit + drain for a single request.
@@ -122,8 +124,8 @@ class SolveServer {
   /// The configuration a request will run: its explicit override, else
   /// the best viable routing entry (label reported), else the deck's own
   /// solver config.  Routed entries overlay the structural axes (solver ×
-  /// precon × depth × tile height × operator × precision) onto the deck
-  /// config, keeping the deck's tolerances.  `max_halo` constrains
+  /// precon × depth × operator × precision) onto the deck config,
+  /// keeping the deck's tolerances.  `max_halo` constrains
   /// re-route candidates to fit an already-allocated session.
   struct Routed {
     SolverConfig config;

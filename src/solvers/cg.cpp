@@ -40,13 +40,12 @@ double cg_setup(SimCluster2D& cl, PreconType precon, const Team& team) {
   });
 }
 
-double cg_iteration(SimCluster2D& cl, PreconType precon, int tile_rows,
-                    double rro, CGRecurrence* rec, bool& breakdown,
-                    const Team& team) {
+double cg_iteration(SimCluster2D& cl, PreconType precon, double rro,
+                    CGRecurrence* rec, bool& breakdown, const Team& team) {
   const auto interior = [](int, Chunk2D& c) { return interior_bounds(c); };
   cl.exchange(&team, {FieldId::kP}, 1);
   const double pw = cl.sum_rows_over_chunks(
-      team, tile_rows, [](int, Chunk2D& c, const Bounds& tb) {
+      team, [](int, Chunk2D& c, const Bounds& tb) {
         kernels::smvp_dot_rows(c, FieldId::kP, FieldId::kW,
                                interior_bounds(c), tb, c.row_scratch());
       });
@@ -60,7 +59,7 @@ double cg_iteration(SimCluster2D& cl, PreconType precon, int tile_rows,
   if (precon == PreconType::kJacobiBlock) {
     // The strip solve couples rows: row-tile the pointwise update, run
     // the solve per rank, then the row-tiled ⟨r,z⟩.
-    cl.for_each_tile(team, tile_rows, interior,
+    cl.for_each_tile(team, interior,
                      [&](int, Chunk2D& c, const Bounds& tb) {
                        kernels::cg_calc_ur_rows(c, alpha, tb);
                      });
@@ -69,13 +68,13 @@ double cg_iteration(SimCluster2D& cl, PreconType precon, int tile_rows,
       kernels::block_jacobi_solve(c, FieldId::kR, FieldId::kZ);
     });
     rrn = cl.sum_rows_over_chunks(
-        team, tile_rows, [](int, Chunk2D& c, const Bounds& tb) {
+        team, [](int, Chunk2D& c, const Bounds& tb) {
           kernels::dot_rows(c, FieldId::kR, FieldId::kZ, tb,
                             c.row_scratch());
         });
   } else {
     rrn = cl.sum_rows_over_chunks(
-        team, tile_rows, [&](int, Chunk2D& c, const Bounds& tb) {
+        team, [&](int, Chunk2D& c, const Bounds& tb) {
           kernels::calc_ur_dot_rows(c, alpha, precon, tb, c.row_scratch());
         });
   }
@@ -83,7 +82,7 @@ double cg_iteration(SimCluster2D& cl, PreconType precon, int tile_rows,
   const double beta = rrn / rro;
   const FieldId zsrc =
       (precon == PreconType::kNone) ? FieldId::kR : FieldId::kZ;
-  cl.for_each_tile(team, tile_rows, interior,
+  cl.for_each_tile(team, interior,
                    [&](int, Chunk2D& c, const Bounds& tb) {
                      kernels::xpby(c, FieldId::kP, zsrc, beta, tb);
                    });
@@ -109,12 +108,11 @@ SolveStats CGSolver::solve_team_chrono(SimCluster2D& cl,
   // returns the same stats.
   Timer timer;
   SolveStats st;
-  const int tile = cfg.tile_rows;
   const bool block = (cfg.precon == PreconType::kJacobiBlock);
   const auto interior = [](int, Chunk2D& c) { return interior_bounds(c); };
   const auto smvp_dot2_pair = [&] {
     return cl.sum2_rows_over_chunks(
-        team, tile, [](int, Chunk2D& c, const Bounds& tb) {
+        team, [](int, Chunk2D& c, const Bounds& tb) {
           kernels::smvp_dot2_rows(c, FieldId::kZ, FieldId::kW, FieldId::kR,
                                   interior_bounds(c), tb, c.row_scratch());
         });
@@ -151,7 +149,7 @@ SolveStats CGSolver::solve_team_chrono(SimCluster2D& cl,
   double beta = 0.0;  // first step: p = z, s = w
 
   while (st.outer_iters < cfg.max_iters) {
-    cl.for_each_tile(team, tile, interior,
+    cl.for_each_tile(team, interior,
                      [&](int, Chunk2D& c, const Bounds& tb) {
                        kernels::cg_chrono_update_rows(c, alpha, beta,
                                                       cfg.precon, tb);
@@ -209,8 +207,8 @@ SolveStats CGSolver::solve_team_classic(SimCluster2D& cl,
 
   while (st.outer_iters < cfg.max_iters) {
     bool broke = false;
-    const double rrn = cg_iteration(cl, cfg.precon, cfg.tile_rows, rro,
-                                    nullptr, broke, team);
+    const double rrn =
+        cg_iteration(cl, cfg.precon, rro, nullptr, broke, team);
     ++st.spmv_applies;
     if (broke) {
       st.breakdown = true;

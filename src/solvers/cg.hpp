@@ -16,8 +16,8 @@ namespace tealeaf {
 /// thread returns the identical rank-ordered sum.
 double cg_setup(SimCluster2D& cl, PreconType precon, const Team& team);
 
-/// One CG iteration (upstream tea_leaf_cg_calc_* kernels), row-blocked at
-/// `tile_rows` (<= 0: one block per rank):
+/// One CG iteration (upstream tea_leaf_cg_calc_* kernels), row-blocked by
+/// the engine (SimCluster::for_each_tile):
 ///   exchange(p,1); w = A·p; pw = ⟨p,w⟩;  α = rro/pw
 ///   u += α·p; r −= α·w; z = M⁻¹r; rrn = ⟨r,z⟩;  β = rrn/rro;  p = z + β·p
 /// Two global reductions.  Appends (α, β) to `rec` when non-null (the
@@ -27,9 +27,8 @@ double cg_setup(SimCluster2D& cl, PreconType precon, const Team& team);
 /// A numerical breakdown (⟨p, A·p⟩ <= 0 or NaN) sets `breakdown` — the
 /// iteration leaves u/r untouched and returns rro.  The value is
 /// identical on every thread, so the caller's branch on it is uniform.
-double cg_iteration(SimCluster2D& cl, PreconType precon, int tile_rows,
-                    double rro, CGRecurrence* rec, bool& breakdown,
-                    const Team& team);
+double cg_iteration(SimCluster2D& cl, PreconType precon, double rro,
+                    CGRecurrence* rec, bool& breakdown, const Team& team);
 
 /// The standard conjugate-gradient solver (paper §III-A): the baseline
 /// whose strong-scaling is limited by the two global dot products per

@@ -40,8 +40,7 @@ void cheby_bootstrap(SimCluster2D& cl, PreconType precon, double theta,
 /// Block-Jacobi's strip solve couples rows, so that composition runs per
 /// rank.
 double cheby_iteration(SimCluster2D& cl, PreconType precon, double alpha,
-                       double beta, bool check, int tile_rows,
-                       const Team& t) {
+                       double beta, bool check, const Team& t) {
   const bool diag = (precon == PreconType::kJacobiDiag);
   const auto interior = [](int, Chunk2D& c) { return interior_bounds(c); };
   cl.exchange(&t, {FieldId::kP}, 1);
@@ -55,14 +54,14 @@ double cheby_iteration(SimCluster2D& cl, PreconType precon, double alpha,
       kernels::axpy(c, FieldId::kU, 1.0, FieldId::kP, in);
     });
   } else {
-    cl.for_each_tile(t, tile_rows, interior,
+    cl.for_each_tile(t, interior,
                      [&](int, Chunk2D& c, const Bounds& tb) {
                        kernels::cheby_step_tile(
                            c, FieldId::kR, FieldId::kP, FieldId::kU, alpha,
                            beta, diag, interior_bounds(c), tb);
                      });
     t.barrier();  // edge rows must see every block's stencil pass done
-    cl.for_each_tile(t, tile_rows, interior,
+    cl.for_each_tile(t, interior,
                      [&](int, Chunk2D& c, const Bounds& tb) {
                        kernels::cheby_step_tile_edges(
                            c, FieldId::kR, FieldId::kP, FieldId::kU, alpha,
@@ -70,12 +69,9 @@ double cheby_iteration(SimCluster2D& cl, PreconType precon, double alpha,
                      });
   }
   if (!check) return 0.0;
-  return cl.sum_rows_over_chunks(t, tile_rows,
-                                 [](int, Chunk2D& c, const Bounds& tb) {
-                                   kernels::dot_rows(c, FieldId::kR,
-                                                     FieldId::kR, tb,
-                                                     c.row_scratch());
-                                 });
+  return cl.sum_rows_over_chunks(t, [](int, Chunk2D& c, const Bounds& tb) {
+    kernels::dot_rows(c, FieldId::kR, FieldId::kR, tb, c.row_scratch());
+  });
 }
 
 }  // namespace
@@ -122,8 +118,7 @@ SolveStats ChebyshevSolver::solve_team(SimCluster2D& cl,
     for (int i = 0;
          i < cfg.eigen_cg_iters && st.outer_iters + i < cfg.max_iters; ++i) {
       bool broke = false;
-      rro = cg_iteration(cl, cfg.precon, cfg.tile_rows, rro, &rec, broke,
-                         team);
+      rro = cg_iteration(cl, cfg.precon, rro, &rec, broke, team);
       ++st.spmv_applies;
       if (broke) {
         st.breakdown = true;
@@ -157,7 +152,7 @@ SolveStats ChebyshevSolver::solve_team(SimCluster2D& cl,
     const bool check = (step + 1) % cfg.cheby_check_interval == 0;
     const double rr_t =
         cheby_iteration(cl, cfg.precon, cc.alphas[step], cc.betas[step],
-                        check, cfg.tile_rows, team);
+                        check, team);
     if (check) rr = rr_t;
     ++step;
     ++st.spmv_applies;

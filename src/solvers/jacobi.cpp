@@ -22,18 +22,17 @@ SolveStats JacobiSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
   // across the team.
   Timer timer;
   SolveStats st;
-  const int tile = cfg.tile_rows;
   const auto interior = [](int, Chunk2D& c) { return interior_bounds(c); };
 
   double initial_err = 0.0;
   while (st.outer_iters < cfg.max_iters) {
     cl.exchange(&team, {FieldId::kU}, 1);
-    cl.for_each_tile(team, tile, interior,
+    cl.for_each_tile(team, interior,
                      [](int, Chunk2D& c, const Bounds& tb) {
                        kernels::jacobi_tile(c, tb, c.row_scratch());
                      });
     team.barrier();  // edge rows read every block's saved rows
-    cl.for_each_tile(team, tile, interior,
+    cl.for_each_tile(team, interior,
                      [](int, Chunk2D& c, const Bounds& tb) {
                        kernels::jacobi_tile_edges(c, tb, c.row_scratch());
                      });

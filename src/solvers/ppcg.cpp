@@ -24,7 +24,6 @@ void PPCGSolver::apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
                              const ChebyCoefs& cc, SolveStats* st,
                              const Team& team) {
   const int d = cfg.halo_depth;
-  const int tile = cfg.tile_rows;
   const bool diag = (cfg.precon == PreconType::kJacobiDiag);
   const bool block = (cfg.precon == PreconType::kJacobiBlock);
   TEA_ASSERT(!block || d == 1,
@@ -36,8 +35,7 @@ void PPCGSolver::apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
   // powers the first extended sweep needs it valid through the overlap,
   // which costs one depth-d exchange; at depth 1 no exchange is needed
   // because the bootstrap touches only the interior.
-  cl.for_each_tile(team, tile,
-                   [](int, Chunk2D& c) { return interior_bounds(c); },
+  cl.for_each_tile(team, [](int, Chunk2D& c) { return interior_bounds(c); },
                    [](int, Chunk2D& c, const Bounds& tb) {
                      kernels::copy(c, FieldId::kRtemp, FieldId::kR, tb);
                    });
@@ -59,7 +57,7 @@ void PPCGSolver::apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
       kernels::copy(c, FieldId::kZ, FieldId::kSd, in);
     });
   } else {
-    cl.for_each_tile(team, tile,
+    cl.for_each_tile(team,
                      [ext](int, Chunk2D& c) {
                        return extended_bounds(c, ext);
                      },
@@ -105,14 +103,14 @@ void PPCGSolver::apply_inner(SimCluster2D& cl, const SolverConfig& cfg,
     const auto step_bounds = [ext](int, Chunk2D& c) {
       return extended_bounds(c, ext);
     };
-    cl.for_each_tile(team, tile, step_bounds,
+    cl.for_each_tile(team, step_bounds,
                      [&](int, Chunk2D& c, const Bounds& tb) {
                        kernels::cheby_step_tile(
                            c, FieldId::kRtemp, FieldId::kSd, FieldId::kZ,
                            alpha, beta, diag, extended_bounds(c, ext), tb);
                      });
     team.barrier();  // edge rows wait for every block's stencil pass
-    cl.for_each_tile(team, tile, step_bounds,
+    cl.for_each_tile(team, step_bounds,
                      [&](int, Chunk2D& c, const Bounds& tb) {
                        kernels::cheby_step_tile_edges(
                            c, FieldId::kRtemp, FieldId::kSd, FieldId::kZ,
@@ -165,8 +163,7 @@ SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
     CGRecurrence rec;
     for (int i = 0; i < cfg.eigen_cg_iters; ++i) {
       bool broke = false;
-      rro = cg_iteration(cl, cfg.precon, cfg.tile_rows, rro, &rec, broke,
-                         team);
+      rro = cg_iteration(cl, cfg.precon, rro, &rec, broke, team);
       ++st.spmv_applies;
       if (broke) {
         st.breakdown = true;
@@ -188,11 +185,10 @@ SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
 
   // Every scalar below derives from rank/row-ordered team reductions, so
   // its value — and every branch on it — is identical on every thread.
-  const int tile = cfg.tile_rows;
   const auto interior = [](int, Chunk2D& c) { return interior_bounds(c); };
   const auto dot_rz = [&] {
     return cl.sum_rows_over_chunks(
-        team, tile, [](int, Chunk2D& c, const Bounds& tb) {
+        team, [](int, Chunk2D& c, const Bounds& tb) {
           kernels::dot_rows(c, FieldId::kR, FieldId::kZ, tb,
                             c.row_scratch());
         });
@@ -201,7 +197,7 @@ SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
   // --- restart the outer PCG with the polynomial preconditioner ---------
   apply_inner(cl, cfg, cc, nullptr, team);
   rro = dot_rz();
-  cl.for_each_tile(team, tile, interior,
+  cl.for_each_tile(team, interior,
                    [](int, Chunk2D& c, const Bounds& tb) {
                      kernels::copy(c, FieldId::kP, FieldId::kZ, tb);
                    });
@@ -218,7 +214,7 @@ SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
   while (st.eigen_cg_iters + st.outer_iters < cfg.max_iters) {
     cl.exchange(&team, {FieldId::kP}, 1);
     const double pw = cl.sum_rows_over_chunks(
-        team, tile, [](int, Chunk2D& c, const Bounds& tb) {
+        team, [](int, Chunk2D& c, const Bounds& tb) {
           kernels::smvp_dot_rows(c, FieldId::kP, FieldId::kW,
                                  interior_bounds(c), tb, c.row_scratch());
         });
@@ -230,7 +226,7 @@ SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
       return finish(rrn);
     }
     const double alpha = rro / pw;
-    cl.for_each_tile(team, tile, interior,
+    cl.for_each_tile(team, interior,
                      [&](int, Chunk2D& c, const Bounds& tb) {
                        kernels::cg_calc_ur_rows(c, alpha, tb);
                      });
@@ -239,7 +235,7 @@ SolveStats PPCGSolver::solve_team(SimCluster2D& cl, const SolverConfig& cfg,
     apply_inner(cl, cfg, cc, nullptr, team);
     const double rrn_t = dot_rz();
     const double beta = rrn_t / rro;
-    cl.for_each_tile(team, tile, interior,
+    cl.for_each_tile(team, interior,
                      [&](int, Chunk2D& c, const Bounds& tb) {
                        kernels::xpby(c, FieldId::kP, FieldId::kZ, beta, tb);
                      });

@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "amg/mg_pcg.hpp"
-#include "model/machine.hpp"
 #include "ops/kernels.hpp"
 #include "ops/sparse_matrix.hpp"
 #include "solvers/cg.hpp"
@@ -28,31 +27,15 @@ void note_operator_fill(const SimCluster2D& cl, SolveStats& stats) {
   }
 }
 
-/// Resolve tile_rows = -1 ("auto"): size the row-blocks from the modelled
-/// machine's per-core L2 and this run's chunk width.  The machine is the
-/// caller's — SolveSession and the sweep pass the one their run models —
-/// so an auto height tracks the machine being studied instead of always
-/// assuming the default.
-SolverConfig resolve(const SimCluster2D& cl, const SolverConfig& cfg,
-                     const MachineSpec& machine) {
-  SolverConfig resolved = cfg;
-  if (resolved.tile_rows < 0) {
-    resolved.tile_rows =
-        auto_tile_rows(machine, cl.chunk(0).nx(), cl.halo_depth());
-  }
-  return resolved;
-}
-
-/// The solver's team form for a resolved, validated config.
-SolveStats solve_on_team(SimCluster2D& cl, const SolverConfig& resolved,
+/// The solver's team form for a validated config.
+SolveStats solve_on_team(SimCluster2D& cl, const SolverConfig& cfg,
                          const Team& team) {
-  switch (resolved.type) {
-    case SolverType::kJacobi:
-      return JacobiSolver::solve_team(cl, resolved, team);
-    case SolverType::kCG: return CGSolver::solve_team(cl, resolved, team);
+  switch (cfg.type) {
+    case SolverType::kJacobi: return JacobiSolver::solve_team(cl, cfg, team);
+    case SolverType::kCG: return CGSolver::solve_team(cl, cfg, team);
     case SolverType::kChebyshev:
-      return ChebyshevSolver::solve_team(cl, resolved, team);
-    case SolverType::kPPCG: return PPCGSolver::solve_team(cl, resolved, team);
+      return ChebyshevSolver::solve_team(cl, cfg, team);
+    case SolverType::kPPCG: return PPCGSolver::solve_team(cl, cfg, team);
     case SolverType::kMGPCG: break;  // no team form: see runs_on_team
   }
   TEA_ASSERT(false, "invalid solver type");
@@ -77,10 +60,10 @@ SolveStats solve_mg_pcg(SimCluster2D& cl, const SolverConfig& cfg) {
 /// solvers are precision-oblivious: every field access and every
 /// operator traversal goes through the kernels' scalar dispatch): ONE
 /// parallel region around the solver's team form.
-SolveStats dispatch_native(SimCluster2D& cl, const SolverConfig& resolved) {
+SolveStats dispatch_native(SimCluster2D& cl, const SolverConfig& cfg) {
   SolveStats out;
   parallel_region([&](Team& t) {
-    const SolveStats st = solve_on_team(cl, resolved, t);
+    const SolveStats st = solve_on_team(cl, cfg, t);
     t.single([&] { out = st; });
   });
   return out;
@@ -159,7 +142,7 @@ void accumulate_inner(SolveStats& agg, const SolveStats& inner) {
 /// and the solve's inputs, run the configured solver entirely over the
 /// fp32 bank (same eps; it may stall before a tight tolerance, which is
 /// recorded honestly for the sweep to price), upcast the iterate.
-SolveStats solve_single(SimCluster2D& cl, const SolverConfig& resolved,
+SolveStats solve_single(SimCluster2D& cl, const SolverConfig& cfg,
                         const NativeSolve& native) {
   build_fp32_operator(cl);
   cl.for_each_chunk([&](int, Chunk& c) {
@@ -168,7 +151,7 @@ SolveStats solve_single(SimCluster2D& cl, const SolverConfig& resolved,
     downcast_field(c, FieldId::kU0, FieldId::kU0);
   });
   set_fp32_active(cl, true);
-  SolveStats stats = native(cl, resolved);
+  SolveStats stats = native(cl, cfg);
   set_fp32_active(cl, false);
   cl.for_each_chunk([&](int, Chunk& c) {
     Field<double>& u = c.u();
@@ -189,7 +172,7 @@ SolveStats solve_single(SimCluster2D& cl, const SolverConfig& resolved,
 /// the fp64 residual meets the caller's eps relative to the INITIAL fp64
 /// residual — the same contract as a double solve — and reports
 /// breakdown when it stalls (the server answers that with a re-route).
-SolveStats solve_mixed(SimCluster2D& cl, const SolverConfig& resolved,
+SolveStats solve_mixed(SimCluster2D& cl, const SolverConfig& cfg,
                        const NativeSolve& native) {
   // The native solvers time their own iteration loops; the refinement
   // wrapper times the WHOLE mixed solve — inner solves, downcasts and the
@@ -198,8 +181,8 @@ SolveStats solve_mixed(SimCluster2D& cl, const SolverConfig& resolved,
   constexpr int kMaxRefines = 12;
   // fp32 has ~7.2 decimal digits; pushing an inner solve past ~1e-5
   // relative buys nothing the next fp64 refinement pass doesn't redo.
-  SolverConfig inner_cfg = resolved;
-  inner_cfg.eps = std::max(resolved.eps, 1e-5);
+  SolverConfig inner_cfg = cfg;
+  inner_cfg.eps = std::max(cfg.eps, 1e-5);
 
   SolveStats stats;
   const double rr0 = fp64_true_residual(cl);
@@ -213,7 +196,7 @@ SolveStats solve_mixed(SimCluster2D& cl, const SolverConfig& resolved,
     stats.converged = true;
     return stats;
   }
-  const double target = resolved.eps * stats.initial_norm;
+  const double target = cfg.eps * stats.initial_norm;
 
   build_fp32_operator(cl);
   double norm = stats.initial_norm;
@@ -281,8 +264,7 @@ SolveStats solve_mixed(SimCluster2D& cl, const SolverConfig& resolved,
 
 }  // namespace
 
-SolveStats run_solver(SimCluster2D& cl, const SolverConfig& cfg,
-                      const MachineSpec& machine) {
+SolveStats run_solver(SimCluster2D& cl, const SolverConfig& cfg) {
   cfg.validate();
   TEA_REQUIRE(cfg.halo_depth <= cl.halo_depth(),
               "cluster halo allocation too shallow for matrix-powers depth");
@@ -293,8 +275,7 @@ SolveStats run_solver(SimCluster2D& cl, const SolverConfig& cfg,
                     "simulated rank");
   }
   if (cfg.type == SolverType::kMGPCG) return solve_mg_pcg(cl, cfg);
-  SolveStats stats =
-      solve_at_precision(cl, resolve(cl, cfg, machine), dispatch_native);
+  SolveStats stats = solve_at_precision(cl, cfg, dispatch_native);
   note_operator_fill(cl, stats);
   return stats;
 }
@@ -310,11 +291,11 @@ SolveStats solve_at_precision(SimCluster2D& cl, const SolverConfig& cfg,
 }
 
 SolveStats run_solver_team(SimCluster2D& cl, const SolverConfig& cfg,
-                           const Team& team, const MachineSpec& machine) {
+                           const Team& team) {
   TEA_REQUIRE(runs_on_team(cfg),
               "run_solver_team runs double-precision team forms only; route "
               "single/mixed and mg-pcg solves through run_solver");
-  SolveStats stats = solve_on_team(cl, resolve(cl, cfg, machine), team);
+  SolveStats stats = solve_on_team(cl, cfg, team);
   note_operator_fill(cl, stats);
   return stats;
 }

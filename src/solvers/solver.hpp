@@ -22,16 +22,19 @@ namespace tealeaf {
 /// precision wrap one such region per fp32 inner solve).  mg-pcg runs
 /// MGPreconditionedCG on the cluster's one chunk from a zero initial
 /// guess (more than one simulated rank throws before any parallel
-/// region), charging the hierarchy setup to solve_seconds.  tile_rows < 0
-/// ("auto") is resolved here first, sizing the row-blocks from
-/// `machine`'s per-core L2 and the chunk width — pass the machine the run
-/// models (SolveSession and the sweep thread theirs through); the
-/// default is the same spruce_hybrid SweepOptions prices communication
-/// against.  Throws TeaError on an invalid cfg or a cluster halo too
-/// shallow for cfg.halo_depth.
-[[nodiscard]] SolveStats run_solver(
-    SimCluster2D& cl, const SolverConfig& cfg,
-    const MachineSpec& machine = machines::spruce_hybrid());
+/// region), charging the hierarchy setup to solve_seconds.  The engine
+/// derives its row-blocks from the team it runs on (see
+/// SimCluster::for_each_tile).  Throws TeaError on an invalid cfg or a
+/// cluster halo too shallow for cfg.halo_depth.
+[[nodiscard]] SolveStats run_solver(SimCluster2D& cl, const SolverConfig& cfg);
+
+/// Older spelling that took the modelled machine to size row-blocks;
+/// the engine no longer needs one, so `machine` is ignored.
+[[nodiscard]] inline SolveStats run_solver(SimCluster2D& cl,
+                                           const SolverConfig& cfg,
+                                           const MachineSpec& /*machine*/) {
+  return run_solver(cl, cfg);
+}
 
 /// One native solve at the chunks' CURRENT precision activation: the unit
 /// the precision layer wraps.
@@ -42,7 +45,7 @@ using NativeSolve =
 /// around `native` — double: one call; single: downcast the operator and
 /// the solve's inputs, solve on the fp32 bank, upcast the iterate; mixed:
 /// fp64-guarded iterative refinement around fp32 inner solves.  cfg must
-/// be validated and its tile height resolved.  run_solver passes the
+/// be validated.  run_solver passes the
 /// execution engine; any other native solve (a reference implementation,
 /// say) runs under exactly the same orchestration.
 [[nodiscard]] SolveStats solve_at_precision(SimCluster2D& cl,
@@ -67,8 +70,8 @@ using NativeSolve =
 /// cfg.halo_depth (preconditions throw, and exceptions must not escape a
 /// parallel region).  The same engine run_solver enters, so the results
 /// are bitwise identical to it.
-[[nodiscard]] SolveStats run_solver_team(
-    SimCluster2D& cl, const SolverConfig& cfg, const Team& team,
-    const MachineSpec& machine = machines::spruce_hybrid());
+[[nodiscard]] SolveStats run_solver_team(SimCluster2D& cl,
+                                         const SolverConfig& cfg,
+                                         const Team& team);
 
 }  // namespace tealeaf

@@ -55,7 +55,7 @@ std::size_t SweepSpec::num_cases() const {
   const std::size_t ops = operators.empty() ? 1 : operators.size();
   const std::size_t precs = precisions.empty() ? 1 : precisions.size();
   return solvers.size() * precons.size() * halo_depths.size() * meshes *
-         thread_counts.size() * tile_rows.size() * geoms * ops * precs;
+         thread_counts.size() * geoms * ops * precs;
 }
 
 void SweepSpec::validate() const {
@@ -73,12 +73,6 @@ void SweepSpec::validate() const {
   }
   for (const int t : thread_counts) {
     TEA_REQUIRE(t >= 0, "sweep: thread counts must be >= 0");
-  }
-  TEA_REQUIRE(!tile_rows.empty(), "sweep: tile-rows axis must be non-empty");
-  for (const int t : tile_rows) {
-    TEA_REQUIRE(t >= -1,
-                "sweep: tile-rows values must be a row count, 0 (one block "
-                "per rank) or -1 (auto)");
   }
   for (const int d : geometries) {
     TEA_REQUIRE(d == 2 || d == 3, "sweep: geometry values must be 2d or 3d");
@@ -112,8 +106,8 @@ void SolverConfig::validate() const {
   }
   if (type == SolverType::kMGPCG) {
     // Multigrid IS mg-pcg's preconditioner; its hierarchy is rebuilt from
-    // the stencil's face coefficients in fp64, and its row loops take no
-    // tile height.  Depth 1 is the generic rule above.
+    // the stencil's face coefficients in fp64.  Depth 1 is the generic
+    // rule above.
     TEA_REQUIRE(op == OperatorKind::kStencil,
                 "mg-pcg rebuilds its hierarchy from the face coefficients, "
                 "so it has no assembled-operator form — did you mean "
@@ -124,9 +118,6 @@ void SolverConfig::validate() const {
     TEA_REQUIRE(precon == PreconType::kNone,
                 "mg-pcg embeds multigrid as its preconditioner — did you "
                 "mean precon = none?");
-    TEA_REQUIRE(tile_rows <= 0,
-                "mg-pcg's multigrid row loops do not row-tile — did you "
-                "mean tile_rows = -1 (auto)?");
   }
   if (fuse_cg_reductions) {
     TEA_REQUIRE(type == SolverType::kCG,
@@ -139,9 +130,6 @@ void SolverConfig::validate() const {
                 "halo_depth > 1 cannot run over them — use "
                 "tl_operator = stencil for matrix-powers, or halo depth 1");
   }
-  TEA_REQUIRE(tile_rows >= -1,
-              "tile_rows must be a row count, 0 (one block per rank) or -1 "
-              "(auto)");
   TEA_REQUIRE(eig_hint_min >= 0.0 && eig_hint_max >= 0.0,
               "eigenvalue hints must be non-negative (0 = unset)");
   if (eig_hint_min > 0.0 || eig_hint_max > 0.0) {

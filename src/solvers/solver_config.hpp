@@ -18,8 +18,8 @@ enum class SolverType : int {
   /// "mg-pcg": CG with one multigrid V-cycle per iteration on the
   /// undecomposed grid — the reproduction's stand-in for PETSc CG +
   /// BoomerAMG (paper §V-A, Fig. 7; amg/mg_pcg.hpp).  Single-rank,
-  /// stencil, double precision, no preconditioner or tile height
-  /// (validate()); the solve starts from a zero initial guess and its
+  /// stencil, double precision, no preconditioner (validate()); the
+  /// solve starts from a zero initial guess and its
   /// solve_seconds include the per-solve hierarchy setup.
   kMGPCG = 4,
 };
@@ -100,19 +100,6 @@ struct SolverConfig {
   /// classic CG; off by default.
   bool fuse_cg_reductions = false;
 
-  /// Row-block height of the execution engine (tl_tile_rows) — its one
-  /// setting.  Every native solve runs on a thread team inside ONE
-  /// parallel region, its sweeps cut into row-blocks of this many rows
-  /// so the per-block working set fits in L2; the engine workshares
-  /// (rank, row-block) pairs over the whole team when there are more
-  /// threads than simulated ranks.
-  ///  -1: "auto" — derived at solve time from the modelled machine's
-  ///      per-core L2 and the chunk width (see auto_tile_rows).  The
-  ///      default.
-  ///   0: one block per rank (per plane in 3-D).
-  /// Iterates and iteration counts are bitwise identical for every value.
-  int tile_rows = -1;
-
   /// Operator representation the solve traverses (tl_operator).  kStencil
   /// is the classic matrix-free path; kCsr / kSellCSigma run the same
   /// solvers over an assembled sparse matrix (assembled from the stencil
@@ -133,8 +120,8 @@ struct SolverConfig {
   /// Throws TeaError on inconsistent combinations, e.g. block-Jacobi with
   /// matrix-powers depth > 1 (the strips would need fresh whole-block
   /// data every inner step — paper §IV-C2 last paragraph), or mg-pcg with
-  /// anything but its one form (no preconditioner, depth 1, no explicit
-  /// tile height, stencil operator, double precision).  The sweep skips
+  /// anything but its one form (no preconditioner, depth 1, stencil
+  /// operator, double precision).  The sweep skips
   /// and the routing table drops exactly the configs this rejects.
   void validate() const;
 
@@ -170,9 +157,6 @@ struct SweepSpec {
   std::vector<int> halo_depths = {1};    ///< matrix-powers depth (PPCG)
   std::vector<int> mesh_sizes;           ///< empty = the base deck's mesh
   std::vector<int> thread_counts = {0};  ///< 0 = runtime default threads
-  /// Tile-height axis (SolverConfig::tile_rows; -1 = auto, 0 = one
-  /// block per rank): the design space's one execution-engine dimension.
-  std::vector<int> tile_rows = {-1};
   /// Geometry axis (`sweep_geometry = 2d,3d`).  A 3-D cell runs the
   /// 7-point operator on a mesh_n³ brick through the same unified core
   /// (labels carry a trailing "/3d", the CSV/JSON tables a `geometry`

@@ -35,12 +35,14 @@ bool Args::has(const std::string& name) const {
   return values_.count(name) > 0;
 }
 
-void Args::reject_retired(const std::string& name,
-                          const std::string& replacement) const {
-  if (!has(name)) return;
-  throw TeaError("--" + name + " was retired: every solve runs the one "
-                 "tiled team engine, whose only setting is the row-block "
-                 "height — use " + replacement + " instead");
+void Args::reject_retired(std::initializer_list<const char*> names) const {
+  for (const char* name : names) {
+    if (!has(name)) continue;
+    throw TeaError(std::string("--") + name +
+                   " was retired: every solve runs the one team engine, "
+                   "which derives its row-blocks from the thread team and "
+                   "rank count — remove the flag");
+  }
 }
 
 std::string Args::get(const std::string& name,

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <vector>
@@ -25,10 +26,9 @@ class Args {
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 
-  /// Throw TeaError if the retired option `--name` was passed, naming
-  /// the `replacement` — a retired flag must fail loudly, not be ignored.
-  void reject_retired(const std::string& name,
-                      const std::string& replacement) const;
+  /// Throw TeaError if any of the retired engine options `--name` was
+  /// passed — a retired flag must fail loudly, not be ignored.
+  void reject_retired(std::initializer_list<const char*> names) const;
 
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;

@@ -123,13 +123,8 @@ TEST(SolverConfigValidated, RejectsInconsistentCombosWithGuidance) {
   hints.eig_hint_max = 5.0;
   EXPECT_THROW((void)hints.validated(), TeaError);
 
-  SolverConfig tile;
-  tile.tile_rows = -2;
-  EXPECT_THROW((void)tile.validated(), TeaError);
-
   SolverConfig ok;
   ok.type = SolverType::kPPCG;
-  ok.tile_rows = 16;
   EXPECT_NO_THROW((void)ok.validated());
 }
 

@@ -230,7 +230,7 @@ TEST(Reduce2, FusedPairTravelsInOneAllreduce) {
   std::pair<double, double> sums;
   parallel_region([&](Team& t) {
     const auto ab = cl.sum2_rows_over_chunks(
-        t, 0, [](int r, Chunk2D& c, const Bounds& tb) {
+        t, [](int r, Chunk2D& c, const Bounds& tb) {
           for (int k = tb.klo; k < tb.khi; ++k) {
             c.row_scratch()[2 * k] = r + 1.0;
             c.row_scratch()[2 * k + 1] = 10.0 * (r + 1.0);

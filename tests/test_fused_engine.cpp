@@ -128,8 +128,8 @@ TEST(Breakdown, CgIterationReportsInsteadOfThrowing) {
     t.for_range(0, cl->nranks(),
                 [&](std::int64_t r) { cl->chunk(r).p().fill(0.0); });
     bool mine = false;
-    const double w = cg_iteration(*cl, PreconType::kNone, 0, v, nullptr,
-                                  mine, t);
+    const double w =
+        cg_iteration(*cl, PreconType::kNone, v, nullptr, mine, t);
     t.single([&] {
       rro = v;
       rrn = w;

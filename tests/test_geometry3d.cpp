@@ -3,7 +3,7 @@
 // the 7-point operator degenerates to the 5-point one and EVERY
 // per-iteration scalar (rro, alpha, beta), iteration count and iterate
 // must reproduce the 2-D solver's exactly, for every solver ×
-// preconditioner × tile-height cell.  (The engine's 3-D equivalence with
+// preconditioner cell.  (The engine's 3-D equivalence with
 // the serial reference lives in test_tiled_engine.)
 
 #include <gtest/gtest.h>
@@ -51,7 +51,7 @@ TEST(CrossDimension, SlabCGRecurrenceScalarsMatch2DExactly) {
         double v = cg_setup(cl, precon, t);
         mine_rr.push_back(v);
         for (int i = 0; i < 8; ++i) {
-          v = cg_iteration(cl, precon, 3, v, &mine, broke, t);
+          v = cg_iteration(cl, precon, v, &mine, broke, t);
           mine_rr.push_back(v);
         }
         t.single([&] {
@@ -79,7 +79,6 @@ struct EngineCell {
   SolverType type;
   PreconType precon;
   bool chrono;
-  int tile_rows;
   int halo_depth = 1;
 };
 
@@ -88,8 +87,6 @@ std::string cell_name(const EngineCell& ec) {
                      to_string(ec.precon) + "_d" +
                      std::to_string(ec.halo_depth);
   if (ec.chrono) name += "_chrono";
-  name += ec.tile_rows < 0 ? std::string("_auto")
-                           : "_b" + std::to_string(ec.tile_rows);
   return name;
 }
 
@@ -99,7 +96,6 @@ SolverConfig cell_config(const EngineCell& ec) {
   cfg.precon = ec.precon;
   cfg.halo_depth = ec.halo_depth;
   cfg.fuse_cg_reductions = ec.chrono;
-  cfg.tile_rows = ec.tile_rows;
   cfg.eps = (ec.type == SolverType::kJacobi) ? 1e-5 : 1e-10;
   cfg.max_iters = (ec.type == SolverType::kJacobi) ? 100000 : 10000;
   cfg.eigen_cg_iters = 8;
@@ -138,24 +134,20 @@ TEST_P(CrossDimensionCell, SlabSolveMatches2DExactly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    SolverPreconTile, CrossDimensionCell,
+    SolverPrecon, CrossDimensionCell,
     ::testing::Values(
-        EngineCell{SolverType::kJacobi, PreconType::kNone, false, 0},
-        EngineCell{SolverType::kJacobi, PreconType::kNone, false, 3},
-        EngineCell{SolverType::kCG, PreconType::kNone, false, -1},
-        EngineCell{SolverType::kCG, PreconType::kNone, false, 3},
-        EngineCell{SolverType::kCG, PreconType::kJacobiDiag, false, 3},
-        EngineCell{SolverType::kCG, PreconType::kJacobiBlock, false, 3},
-        EngineCell{SolverType::kCG, PreconType::kNone, true, 0},
-        EngineCell{SolverType::kCG, PreconType::kJacobiDiag, true, 3},
-        EngineCell{SolverType::kChebyshev, PreconType::kNone, false, -1},
-        EngineCell{SolverType::kChebyshev, PreconType::kJacobiDiag, false,
-                   3},
-        EngineCell{SolverType::kChebyshev, PreconType::kJacobiBlock, false,
-                   0},
-        EngineCell{SolverType::kPPCG, PreconType::kNone, false, -1},
-        EngineCell{SolverType::kPPCG, PreconType::kJacobiDiag, false, 3},
-        EngineCell{SolverType::kPPCG, PreconType::kNone, false, 3, 3}),
+        EngineCell{SolverType::kJacobi, PreconType::kNone, false},
+        EngineCell{SolverType::kCG, PreconType::kNone, false},
+        EngineCell{SolverType::kCG, PreconType::kJacobiDiag, false},
+        EngineCell{SolverType::kCG, PreconType::kJacobiBlock, false},
+        EngineCell{SolverType::kCG, PreconType::kNone, true},
+        EngineCell{SolverType::kCG, PreconType::kJacobiDiag, true},
+        EngineCell{SolverType::kChebyshev, PreconType::kNone, false},
+        EngineCell{SolverType::kChebyshev, PreconType::kJacobiDiag, false},
+        EngineCell{SolverType::kChebyshev, PreconType::kJacobiBlock, false},
+        EngineCell{SolverType::kPPCG, PreconType::kNone, false},
+        EngineCell{SolverType::kPPCG, PreconType::kJacobiDiag, false},
+        EngineCell{SolverType::kPPCG, PreconType::kNone, false, 3}),
     [](const auto& info) { return cell_name(info.param); });
 
 }  // namespace

@@ -143,7 +143,7 @@ TEST_P(CGMonotonicity, MetricContractsOverall) {
     double rro = cg_setup(*cl, PreconType::kNone, t);
     mine.push_back(rro);
     for (int i = 0; i < 60 && !broke; ++i) {
-      rro = cg_iteration(*cl, PreconType::kNone, 0, rro, nullptr, broke, t);
+      rro = cg_iteration(*cl, PreconType::kNone, rro, nullptr, broke, t);
       mine.push_back(rro);
     }
     t.single([&] { metric = mine; });

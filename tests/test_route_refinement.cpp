@@ -154,8 +154,39 @@ TEST(RouteDatabase, RetiredEngineDatabasesAskForAFreshSweep) {
   EXPECT_EQ(RouteDatabase::kVersion, 2);
   // A current key with the same shape loads fine.
   EXPECT_NO_THROW((void)RouteDatabase::from_json(io::JsonValue::parse(
-      R"({"version": 2, "shapes": {"2d/n16/r2": {"cg/none/d1/b8": )" + cell +
+      R"({"version": 2, "shapes": {"2d/n16/r2": {"cg/none/d1": )" + cell +
       "}}}")));
+}
+
+TEST(RouteDatabase, ExplicitTileHeightKeysAskForAFreshSweep) {
+  // The engine derives its row-blocks from the team, so a key recorded at
+  // an explicit height ("/b<rows>") names a schedule that no longer runs
+  // and must be re-swept.  Keys recorded at the old auto height carry no
+  // such segment and keep loading unchanged.
+  const std::string cell =
+      R"({"ewma_seconds": 1, "predicted_seconds": 1, "observations": 1,)"
+      R"( "breakdowns": 0, "demoted": false})";
+  const auto db_with = [&](const std::string& route) {
+    return io::JsonValue::parse(
+        R"({"version": 2, "shapes": {"2d/n16/r2": {")" + route + "\": " +
+        cell + "}}}");
+  };
+  for (const char* route : {"cg/none/d1/b8", "ppcg/jac_diag/d4/b0/3d",
+                            "cg/none/d1/b32/csr/mixed"}) {
+    try {
+      (void)RouteDatabase::from_json(db_with(route));
+      FAIL() << "must be rejected: " << route;
+    } catch (const TeaError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("re-run the sweep"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("derives its blocks"), std::string::npos) << msg;
+    }
+  }
+  for (const char* route : {"cg/none/d1", "cg/jac_block/d1/3d/csr/mixed",
+                            "ppcg/jac_diag/d4/f32"}) {
+    const RouteDatabase db = RouteDatabase::from_json(db_with(route));
+    EXPECT_NE(db.find("2d/n16/r2", route), nullptr) << route;
+  }
 }
 
 TEST(RouteDatabase, MergeNeverResurrectsFromStaleFewerObservations) {

@@ -249,6 +249,88 @@ TEST(ServerMgPcg, MixedBreakdownPassesOverTheDoubleOnlyFallback) {
   EXPECT_EQ(healthy.route_label, "cg/none/d1/n16/mixed");
 }
 
+/// An explicit override that cannot run — {mg-pcg, jac_block} is invalid
+/// outright, and mg-pcg on two ranks breaks its one-rank rule — fails
+/// that request alone: drain() returns every result, the healthy request
+/// beside it converges as a lone session solve does, and each rejected
+/// request carries the reason without having run a solve.
+TEST(SolveServer, InvalidOverrideFailsAloneWithoutThrowingOutOfDrain) {
+  const InputDeck deck = decks::hot_block(16, 1);
+  SolveServer server;
+  SolveRequest good;
+  good.deck = deck;
+  good.nranks = 2;
+  good.tag = "good";
+  SolveRequest bad_precon = good;
+  bad_precon.tag = "mg-pcg+jac_block";
+  bad_precon.config = deck.solver;
+  bad_precon.config->type = SolverType::kMGPCG;
+  bad_precon.config->precon = PreconType::kJacobiBlock;
+  SolveRequest bad_ranks = good;
+  bad_ranks.tag = "mg-pcg on 2 ranks";
+  bad_ranks.config = deck.solver;
+  bad_ranks.config->type = SolverType::kMGPCG;
+  server.submit(bad_precon);
+  server.submit(good);
+  server.submit(bad_ranks);
+  std::vector<SolveResult> results;
+  ASSERT_NO_THROW(results = server.drain());
+  ASSERT_EQ(results.size(), 3u);
+
+  for (const std::size_t i : {0u, 2u}) {
+    const SolveResult& r = results[i];
+    EXPECT_FALSE(r.ok()) << r.tag;
+    EXPECT_EQ(r.attempts, 0) << r.tag;
+    EXPECT_EQ(r.config.type, SolverType::kMGPCG) << r.tag;
+    EXPECT_EQ(r.stats.spmv_applies, 0) << r.tag;
+  }
+  EXPECT_EQ(results[0].tag, "mg-pcg+jac_block");
+  EXPECT_NE(results[0].reroute_reason.find("embeds multigrid"),
+            std::string::npos)
+      << results[0].reroute_reason;
+  EXPECT_EQ(results[2].tag, "mg-pcg on 2 ranks");
+  EXPECT_NE(results[2].reroute_reason.find("one simulated rank"),
+            std::string::npos)
+      << results[2].reroute_reason;
+
+  const SolveResult& healthy = results[1];
+  EXPECT_EQ(healthy.tag, "good");
+  EXPECT_TRUE(healthy.ok());
+  SolveSession solo(deck, 2);
+  const SolveStats ref = solo.solve();
+  EXPECT_EQ(healthy.stats.outer_iters, ref.outer_iters);
+  EXPECT_EQ(healthy.stats.final_norm, ref.final_norm);
+  EXPECT_EQ(server.stats().failures, 2);
+  EXPECT_EQ(server.stats().requests, 3);
+}
+
+/// Solo requests of one drain chunk (here single precision, which the
+/// team engine cannot take) run one after another, so each must report
+/// its own solve time: their latencies sum to no more than the drain's
+/// busy time, instead of each claiming the whole chunk's wall time.
+TEST(SolveServer, SoloRequestsReportTheirOwnLatency) {
+  InputDeck deck = decks::hot_block(24, 1);
+  deck.solver.precision = Precision::kSingle;
+  SolveServer server;
+  for (int i = 0; i < 3; ++i) {
+    SolveRequest req;
+    req.deck = deck;
+    req.nranks = 2;
+    req.tag = "single-" + std::to_string(i);
+    server.submit(std::move(req));
+  }
+  const std::vector<SolveResult> results = server.drain();
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(server.stats().batches, 1);  // one chunk of the same shape
+  double sum = 0.0;
+  for (const SolveResult& r : results) {
+    EXPECT_FALSE(r.batched) << r.tag;
+    EXPECT_GT(r.latency_seconds, 0.0) << r.tag;
+    sum += r.latency_seconds;
+  }
+  EXPECT_LE(sum, server.stats().busy_seconds);
+}
+
 TEST(RoutingTable, UnseenMeshFallsBackToModelProjection) {
   const RoutingTable table = RoutingTable::from_sweep(synthetic_report());
   const std::vector<RouteEntry> ranked = table.route(2, 48, 2);

@@ -95,15 +95,12 @@ TEST(SweepDeck, ParsesAndRoundTripsSweepSection) {
   EXPECT_EQ(back.sweep.ranks, deck.sweep.ranks);
 }
 
-TEST(SweepDeck, RetiredEngineKeysNameTheirReplacement) {
-  // The fused and pipelined engine tiers are gone; their deck keys fail
-  // loudly and point at the one remaining engine setting.
-  for (const auto& [key, replacement] :
-       {std::pair<std::string, std::string>{"tl_fuse_kernels",
-                                            "tl_tile_rows"},
-        {"tl_pipeline", "tl_tile_rows"},
-        {"sweep_fused", "sweep_tile_rows"},
-        {"sweep_pipeline", "sweep_tile_rows"}}) {
+TEST(SweepDeck, RetiredEngineKeysFailLoudly) {
+  // The fused and pipelined engine tiers are gone, and the engine derives
+  // its row-blocks from the team: their deck keys fail loudly.
+  for (const std::string key :
+       {"tl_fuse_kernels", "tl_pipeline", "tl_tile_rows", "sweep_fused",
+        "sweep_pipeline", "sweep_tile_rows"}) {
     try {
       (void)InputDeck::parse_string(
           "*tea\nx_cells=16\ny_cells=16\nend_step=1\n"
@@ -114,8 +111,9 @@ TEST(SweepDeck, RetiredEngineKeysNameTheirReplacement) {
       const std::string msg = e.what();
       EXPECT_NE(msg.find("'" + key + "' was retired"), std::string::npos)
           << msg;
-      EXPECT_NE(msg.find("'" + replacement + "'"), std::string::npos)
+      EXPECT_NE(msg.find("derives its row-blocks"), std::string::npos)
           << msg;
+      EXPECT_NE(msg.find("remove the key"), std::string::npos) << msg;
     }
   }
 }
@@ -345,7 +343,6 @@ TEST(SweepReport, RetiredEngineFieldsAreRejected) {
       const std::string msg = e.what();
       EXPECT_NE(msg.find("'" + field + "'"), std::string::npos) << msg;
       EXPECT_NE(msg.find("re-run the sweep"), std::string::npos) << msg;
-      EXPECT_NE(msg.find("sweep_tile_rows"), std::string::npos) << msg;
     }
   };
   for (const char* field : {"fused", "pipeline"}) {
@@ -363,6 +360,64 @@ TEST(SweepReport, RetiredEngineFieldsAreRejected) {
   }
 }
 
+TEST(SweepReport, ExplicitTileHeightCellsAreRejected) {
+  // Reports from before the engine derived its row-blocks carry a
+  // tile_rows field.  Cells recorded at auto (-1) still describe today's
+  // routes and keep loading; an explicit height timed a block split the
+  // engine no longer runs, so the report must be re-run.
+  InputDeck base = decks::hot_block(12, 1);
+  base.solver.eps = 1e-8;
+  SweepSpec spec;
+  spec.solvers = {"cg"};
+  spec.ranks = 2;
+  const SweepReport rep = run_sweep(base, spec);
+  const auto expect_rejected = [](const auto& parse) {
+    try {
+      parse();
+      FAIL() << "an explicit tile height must be rejected";
+    } catch (const TeaError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("tile_rows = 8"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("re-run the sweep"), std::string::npos) << msg;
+    }
+  };
+  const auto json_with = [&](int tile_rows) {
+    io::JsonValue doc = rep.to_json();
+    io::JsonValue cells = io::JsonValue::array();
+    io::JsonValue cell = doc.at("cells").at(0);
+    cell.set("tile_rows", tile_rows);
+    cells.push_back(std::move(cell));
+    doc.set("cells", std::move(cells));
+    return doc;
+  };
+  // The old CSV layout: a tile_rows column after threads.
+  const auto csv_with = [&](const std::string& tile_rows) {
+    std::vector<std::string> lines = rep.to_csv_lines();
+    const auto insert_after_threads = [](std::string& line,
+                                         const std::string& value) {
+      std::size_t at = 0;
+      for (int comma = 0; comma < 5; ++comma) at = line.find(',', at) + 1;
+      line.insert(at, value + ",");
+    };
+    insert_after_threads(lines[0], "tile_rows");
+    for (std::size_t i = 1; i < lines.size(); ++i) {
+      insert_after_threads(lines[i], tile_rows);
+    }
+    return lines;
+  };
+
+  const SweepReport json_auto = SweepReport::from_json(json_with(-1));
+  ASSERT_EQ(json_auto.cells.size(), 1u);
+  EXPECT_EQ(json_auto.cells[0].config.label(), rep.cells[0].config.label());
+  const SweepReport csv_auto = SweepReport::from_csv_lines(csv_with("-1"));
+  ASSERT_EQ(csv_auto.cells.size(), rep.cells.size());
+  EXPECT_EQ(csv_auto.cells[0].config.label(), rep.cells[0].config.label());
+  EXPECT_EQ(csv_auto.cells[0].iterations, rep.cells[0].iterations);
+
+  expect_rejected([&] { (void)SweepReport::from_json(json_with(8)); });
+  expect_rejected([&] { (void)SweepReport::from_csv_lines(csv_with("8")); });
+}
+
 TEST(SweepBreakdown, BreakdownRowFailsWithoutAbortingTheSweep) {
   // A deck whose PPCG cells reliably break down (two presteps grossly
   // underestimate the spectrum; the odd-degree Chebyshev polynomial goes
@@ -375,7 +430,7 @@ TEST(SweepBreakdown, BreakdownRowFailsWithoutAbortingTheSweep) {
   base.solver.eps = 1e-8;
   base.solver.max_iters = 20000;
   base.sweep.solvers = {"cg", "ppcg"};
-  base.sweep.tile_rows = {-1, 0};
+  base.sweep.thread_counts = {1, 2};
   base.sweep.ranks = 2;
 
   const SweepReport rep = run_sweep(base);
@@ -431,18 +486,18 @@ TEST(SweepScalingBridge, SpeedupsComeFromScalingModelHelper) {
 
 // ---- geometry axis (2d | 3d) ---------------------------------------------
 
-TEST(SweepGeometryAxis, EnumeratesInsideTheTileAxis) {
+TEST(SweepGeometryAxis, EnumeratesInsideTheThreadAxis) {
   SweepSpec spec;
   spec.solvers = {"cg"};
-  spec.tile_rows = {-1, 0};
+  spec.thread_counts = {0, 2};
   spec.geometries = {2, 3};
   const std::vector<SweepCase> cases = enumerate_cases(spec, 16);
   ASSERT_EQ(cases.size(), 4u);
   ASSERT_EQ(spec.num_cases(), 4u);
   EXPECT_EQ(cases[0].label(), "cg/none/d1/n16/t0");
   EXPECT_EQ(cases[1].label(), "cg/none/d1/n16/t0/3d");
-  EXPECT_EQ(cases[2].label(), "cg/none/d1/n16/t0/b0");
-  EXPECT_EQ(cases[3].label(), "cg/none/d1/n16/t0/b0/3d");
+  EXPECT_EQ(cases[2].label(), "cg/none/d1/n16/t2");
+  EXPECT_EQ(cases[3].label(), "cg/none/d1/n16/t2/3d");
   spec.geometries = {4};
   EXPECT_THROW(spec.validate(), TeaError);
 }
@@ -494,49 +549,42 @@ TEST(SweepGeometryAxis, RanksConverged2DAnd3DRowsAndRoundTrips) {
 TEST(SweepGeometryAxis, NoMgPcg3DCellIsEverSkipped) {
   // The last hole of the design-space matrix (ROADMAP "3-D mg-pcg"): the
   // mg-pcg × 3d cross-product contributes zero skipped cells across the
-  // tile and mesh axes, and each cell ranks as a converged row.
+  // mesh axis, and each cell ranks as a converged row.
   InputDeck base = decks::hot_block(12, 1);
   base.solver.eps = 1e-8;
   SweepSpec spec;
   spec.solvers = {"mg-pcg"};
   spec.mesh_sizes = {8, 12};
-  spec.tile_rows = {-1, 0};
   spec.geometries = {3};
   spec.ranks = 2;
   const SweepReport rep = run_sweep(base, spec);
-  ASSERT_EQ(rep.cells.size(), 4u);
+  ASSERT_EQ(rep.cells.size(), 2u);
   for (const SweepOutcome& c : rep.cells) {
     EXPECT_FALSE(c.skipped) << c.config.label() << ": " << c.skip_reason;
     EXPECT_TRUE(c.converged) << c.config.label();
     EXPECT_GT(c.iterations, 0) << c.config.label();
   }
-  EXPECT_EQ(rep.ranking().size(), 4u);
-
-  // The tile axis stays pure speed in 3-D: both mg-pcg cells of a mesh
-  // run identical iteration counts and final norms.
-  for (const std::size_t i : {0u, 2u}) {
-    EXPECT_EQ(rep.cells[i + 1].iterations, rep.cells[i].iterations);
-    EXPECT_EQ(rep.cells[i + 1].final_norm, rep.cells[i].final_norm);
-  }
+  EXPECT_EQ(rep.ranking().size(), 2u);
 }
 
 TEST(SweepGeometryAxis, SkipPlumbingStillFiresForInvalidCombos) {
   // Retiring the mg-pcg × 3d skip must not have loosened the genuinely
-  // invalid combinations: an explicit tile height on mg-pcg still
+  // invalid combinations: an assembled operator on mg-pcg still
   // records a reasoned skip (in both geometries), as do its
   // preconditioner/depth contracts.
   InputDeck base = decks::hot_block(12, 1);
   base.solver.eps = 1e-8;
   SweepSpec spec;
   spec.solvers = {"mg-pcg"};
-  spec.tile_rows = {4};
+  spec.operators = {"csr"};
   spec.geometries = {2, 3};
   spec.ranks = 2;
   const SweepReport rep = run_sweep(base, spec);
   ASSERT_EQ(rep.cells.size(), 2u);
   for (const SweepOutcome& c : rep.cells) {
     EXPECT_TRUE(c.skipped) << c.config.label();
-    EXPECT_NE(c.skip_reason.find("do not row-tile"), std::string::npos)
+    EXPECT_NE(c.skip_reason.find("no assembled-operator form"),
+              std::string::npos)
         << c.skip_reason;
   }
 
@@ -579,7 +627,7 @@ TEST(SweepGeometryAxis, SlabCellMatches2DIterationCounts) {
 TEST(SweepPrecisionAxis, EnumeratesAsInnermostAxis) {
   SweepSpec spec;
   spec.solvers = {"cg"};
-  spec.tile_rows = {-1, 0};
+  spec.thread_counts = {0, 2};
   spec.precisions = {"double", "fp32", "mixed"};  // alias canonicalises
   const std::vector<SweepCase> cases = enumerate_cases(spec, 16);
   ASSERT_EQ(cases.size(), 6u);
@@ -588,9 +636,9 @@ TEST(SweepPrecisionAxis, EnumeratesAsInnermostAxis) {
   EXPECT_EQ(cases[0].label(), "cg/none/d1/n16/t0");
   EXPECT_EQ(cases[1].label(), "cg/none/d1/n16/t0/f32");
   EXPECT_EQ(cases[2].label(), "cg/none/d1/n16/t0/mixed");
-  EXPECT_EQ(cases[3].label(), "cg/none/d1/n16/t0/b0");
-  EXPECT_EQ(cases[4].label(), "cg/none/d1/n16/t0/b0/f32");
-  EXPECT_EQ(cases[5].label(), "cg/none/d1/n16/t0/b0/mixed");
+  EXPECT_EQ(cases[3].label(), "cg/none/d1/n16/t2");
+  EXPECT_EQ(cases[4].label(), "cg/none/d1/n16/t2/f32");
+  EXPECT_EQ(cases[5].label(), "cg/none/d1/n16/t2/mixed");
   EXPECT_EQ(cases[1].precision, "single");  // canonical name, not the alias
   spec.precisions = {"half"};
   EXPECT_THROW(spec.validate(), TeaError);

@@ -1,9 +1,9 @@
 // The execution engine's contract: every native solve — whatever the
-// row-block height, thread count, rank count, geometry, operator form or
-// precision — is bitwise identical to the serial reference solver in
+// thread count, rank count, geometry, operator form or precision — is
+// bitwise identical to the serial reference solver in
 // serial_reference.hpp: same iterates, iteration counts, recurrence
-// scalars and CommStats.  Plus the tile scheduler's primitives, the auto
-// tile height, and the tile axis of the deck, sweep and scaling model.
+// scalars and CommStats.  Plus the row-block scheduler's primitives, the
+// engine's deck diagnostics and the scaling model's blocked variant.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include <ostream>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -81,17 +82,6 @@ TEST(TeamForRange2D, HandlesEmptyAndTinyIterationSpaces) {
   EXPECT_EQ(runs, 1);
 }
 
-TEST(TiledCluster, NumRowTilesEdgeCases) {
-  EXPECT_EQ(SimCluster2D::num_row_tiles(16, 0), 1);   // untiled
-  EXPECT_EQ(SimCluster2D::num_row_tiles(16, 16), 1);  // tile == rows
-  EXPECT_EQ(SimCluster2D::num_row_tiles(16, 100), 1); // tile > rows
-  EXPECT_EQ(SimCluster2D::num_row_tiles(16, 1), 16);  // one-row tiles
-  EXPECT_EQ(SimCluster2D::num_row_tiles(16, 5), 4);   // non-dividing
-  EXPECT_EQ(SimCluster2D::num_row_tiles(0, 4), 0);    // empty range
-}
-
-// ---- the engine against the serial reference (bitwise) -------------------
-
 /// RAII thread-count override for one engine run.
 class ThreadScope {
  public:
@@ -115,28 +105,93 @@ class ThreadScope {
   int saved_ = 1;
 };
 
+// ---- the team-derived row-blocks ----------------------------------------
+
+TEST(TiledCluster, BlocksPerPlaneDeriveFromTheTeam) {
+  // threads <= ranks: one block per rank (the owner-thread mapping).
+  EXPECT_EQ(SimCluster::blocks_per_plane(1, 1), 1);
+  EXPECT_EQ(SimCluster::blocks_per_plane(2, 4), 1);
+  EXPECT_EQ(SimCluster::blocks_per_plane(4, 4), 1);
+  EXPECT_EQ(SimCluster::blocks_per_plane(8, 12), 1);
+  // threads > ranks: T / gcd(T, R) blocks, so R·blocks is a multiple of T.
+  EXPECT_EQ(SimCluster::blocks_per_plane(2, 1), 2);
+  EXPECT_EQ(SimCluster::blocks_per_plane(4, 2), 2);
+  EXPECT_EQ(SimCluster::blocks_per_plane(3, 2), 3);
+  EXPECT_EQ(SimCluster::blocks_per_plane(4, 3), 4);
+  EXPECT_EQ(SimCluster::blocks_per_plane(6, 4), 3);
+}
+
+TEST(TiledCluster, BlocksCoverEveryRowOnceAndSplitEvenly) {
+  // (threads, ranks, dims): threads <= ranks, and uneven and even splits
+  // with threads > ranks, in both geometries.
+  struct Shape {
+    int threads, ranks, dims;
+  };
+  for (const Shape sh : {Shape{1, 1, 2}, Shape{2, 4, 2}, Shape{3, 2, 2},
+                         Shape{4, 3, 2}, Shape{4, 2, 3}, Shape{3, 2, 3}}) {
+    auto cl = sh.dims == 3 ? testing::make_test_problem_3d(8, sh.ranks, 2)
+                           : make_test_problem(20, sh.ranks, 2);
+    // hits[r][ρ]: times row ρ = l·ny + k of rank r was visited.
+    std::vector<std::vector<int>> hits;
+    for (int r = 0; r < cl->nranks(); ++r) {
+      hits.emplace_back(static_cast<std::size_t>(cl->chunk(r).num_rows()), 0);
+    }
+    std::vector<int> tiles_of(static_cast<std::size_t>(sh.threads), 0);
+    int team_size = 0;
+    {
+      ThreadScope scope(sh.threads);
+      parallel_region([&](Team& t) {
+        t.single([&] { team_size = t.num_threads(); });
+        int mine = 0;
+        cl->for_each_tile(
+            t, [](int, Chunk& c) { return interior_bounds(c); },
+            [&](int r, Chunk& c, const Bounds& tb) {
+              ++mine;
+              for (int l = tb.llo; l < tb.lhi; ++l) {
+                for (int k = tb.klo; k < tb.khi; ++k) {
+                  ++hits[static_cast<std::size_t>(r)]
+                        [static_cast<std::size_t>(l * c.ny() + k)];
+                }
+              }
+            });
+        tiles_of[static_cast<std::size_t>(t.thread_id())] = mine;
+      });
+    }
+    const std::string where = "t" + std::to_string(sh.threads) + "_r" +
+                              std::to_string(sh.ranks) + "_" +
+                              std::to_string(sh.dims) + "d";
+    for (const std::vector<int>& rank_hits : hits) {
+      for (const int h : rank_hits) ASSERT_EQ(h, 1) << where;
+    }
+    if (team_size == sh.threads && sh.threads > sh.ranks) {
+      for (const int n : tiles_of) EXPECT_EQ(n, tiles_of[0]) << where;
+    }
+  }
+}
+
+// ---- the engine against the serial reference (bitwise) -------------------
+
 enum class Variant { kCG, kChrono, kJacobi, kChebyshev, kPPCG, kPPCGPowers };
 
 /// One cell of the harness: a solver configuration × geometry × operator
-/// × precision, run by the engine at one tile height and thread count on
-/// one rank count.
+/// × precision, run by the engine with one thread count on one rank
+/// count.
 struct Cell {
   Variant variant;
   PreconType precon;
   int dims;
   OperatorKind op;
   Precision precision;
-  int tile_rows;
   int threads;
   int ranks;
 };
 
-/// Tile heights: one block per rank, one-row blocks, a non-dividing
-/// height, auto, and taller than any chunk.
-constexpr int kTiles[] = {0, 1, 5, -1, 1000};
-/// (threads, ranks): ranks equal to, above and below the thread count.
-constexpr std::pair<int, int> kTeams[] = {{1, 1}, {1, 2}, {2, 1},
-                                          {2, 4}, {4, 2}, {4, 8}};
+/// (threads, ranks): ranks equal to, above and below the thread count —
+/// one block per rank when threads <= ranks, T / gcd(T, R) blocks per
+/// rank otherwise, including the uneven splits 3-on-2 and 4-on-3.
+constexpr std::pair<int, int> kTeams[] = {{1, 1}, {1, 2}, {2, 1}, {2, 4},
+                                          {4, 2}, {4, 8}, {3, 2}, {4, 3}};
+constexpr std::size_t kNumTeams = std::size(kTeams);
 constexpr Precision kPrecisions[] = {Precision::kDouble, Precision::kSingle,
                                      Precision::kMixed};
 
@@ -145,7 +200,6 @@ SolverConfig config_of(const Cell& c) {
   cfg.precon = c.precon;
   cfg.op = c.op;
   cfg.precision = c.precision;
-  cfg.tile_rows = c.tile_rows;
   cfg.eps = 1e-8;
   cfg.max_iters = 300;
   cfg.eigen_cg_iters = 8;
@@ -172,9 +226,9 @@ SolverConfig config_of(const Cell& c) {
 }
 
 /// Every valid solver × preconditioner × geometry × operator combination;
-/// precision and tile height rotate through their values cell by cell,
-/// and (threads, ranks) once per run of five cells, so every value of
-/// each meets many solvers and every tile height meets every team shape.
+/// precision and (threads, ranks) rotate through their values cell by
+/// cell, so every value of each meets many solvers and every team shape
+/// meets both geometries.
 std::vector<Cell> engine_cells() {
   std::vector<Cell> cells;
   int i = 0;
@@ -188,9 +242,9 @@ std::vector<Cell> engine_cells() {
         for (const OperatorKind op :
              {OperatorKind::kStencil, OperatorKind::kCsr,
               OperatorKind::kSellCSigma}) {
-          const auto [threads, ranks] = kTeams[(i / 5) % 6];
-          const Cell c{v, precon, dims, op, kPrecisions[i % 3], kTiles[i % 5],
-                       threads, ranks};
+          const auto [threads, ranks] = kTeams[i % kNumTeams];
+          const Cell c{v, precon, dims, op, kPrecisions[i % 3], threads,
+                       ranks};
           try {
             (void)config_of(c).validated();
           } catch (const TeaError&) {
@@ -213,10 +267,8 @@ std::string cell_name(const Cell& c) {
                      std::to_string(c.dims) + "d_" +
                      (c.op == OperatorKind::kSellCSigma ? "sell"
                                                         : to_string(c.op)) +
-                     "_" + to_string(c.precision) + "_b" +
-                     (c.tile_rows < 0 ? std::string("auto")
-                                      : std::to_string(c.tile_rows)) +
-                     "_t" + std::to_string(c.threads) + "_r" +
+                     "_" + to_string(c.precision) + "_t" +
+                     std::to_string(c.threads) + "_r" +
                      std::to_string(c.ranks);
   return name;
 }
@@ -270,25 +322,25 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(EngineVsReference, CellsCoverEveryAxisValue) {
   const std::vector<Cell> cells = engine_cells();
-  std::set<std::pair<int, int>> tile_threads;
   std::set<std::pair<int, int>> variant_precision;
   std::set<std::pair<int, int>> teams;
+  std::set<std::tuple<int, int, int>> team_dims;
   for (const Cell& c : cells) {
-    tile_threads.insert({c.tile_rows, c.threads});
     variant_precision.insert(
         {static_cast<int>(c.variant), static_cast<int>(c.precision)});
     teams.insert({c.threads, c.ranks});
+    team_dims.insert({c.threads, c.ranks, c.dims});
   }
-  EXPECT_EQ(tile_threads.size(), 5u * 3u);
   EXPECT_EQ(variant_precision.size(), 6u * 3u);
-  EXPECT_EQ(teams.size(), std::size(kTeams));
+  EXPECT_EQ(teams.size(), kNumTeams);
+  EXPECT_EQ(team_dims.size(), kNumTeams * 2u);
 }
 
 TEST(EngineVsReference, CGRecurrenceScalarsBitwiseIdentical) {
   // rro and every (α, β) of the classic recurrence — the scalars that
   // steer the whole solve and feed the eigenvalue estimates — per
   // iteration, against the reference, across preconditioners, geometries,
-  // operators, tile heights and team shapes.
+  // operators and team shapes.
   int i = 0;
   for (const PreconType precon : {PreconType::kNone, PreconType::kJacobiDiag,
                                   PreconType::kJacobiBlock}) {
@@ -296,9 +348,9 @@ TEST(EngineVsReference, CGRecurrenceScalarsBitwiseIdentical) {
       for (const OperatorKind op :
            {OperatorKind::kStencil, OperatorKind::kCsr,
             OperatorKind::kSellCSigma}) {
-        const auto [threads, ranks] = kTeams[i % 6];
+        const auto [threads, ranks] = kTeams[i++ % kNumTeams];
         const Cell c{Variant::kCG, precon, dims, op, Precision::kDouble,
-                     kTiles[i++ % 5], threads, ranks};
+                     threads, ranks};
         auto ref = make_problem(c);
         auto eng = make_problem(c);
         constexpr int kIters = 8;
@@ -315,11 +367,6 @@ TEST(EngineVsReference, CGRecurrenceScalarsBitwiseIdentical) {
         }
         std::vector<double> eng_rr;
         CGRecurrence eng_rec;
-        const int tile =
-            c.tile_rows < 0 ? auto_tile_rows(machines::spruce_hybrid(),
-                                             eng->chunk(0).nx(),
-                                             eng->halo_depth())
-                            : c.tile_rows;
         {
           ThreadScope scope(threads);
           parallel_region([&](Team& t) {
@@ -329,7 +376,7 @@ TEST(EngineVsReference, CGRecurrenceScalarsBitwiseIdentical) {
             double e = cg_setup(*eng, precon, t);
             mine_rr.push_back(e);
             for (int it = 0; it < kIters; ++it) {
-              e = cg_iteration(*eng, precon, tile, e, &mine, broke, t);
+              e = cg_iteration(*eng, precon, e, &mine, broke, t);
               mine_rr.push_back(e);
             }
             t.single([&] {
@@ -349,23 +396,6 @@ TEST(EngineVsReference, CGRecurrenceScalarsBitwiseIdentical) {
   }
 }
 
-// ---- auto tile derivation ------------------------------------------------
-
-TEST(AutoTile, DerivesFromMachineL2AndFallsBack) {
-  const MachineSpec spruce = machines::spruce_hybrid();
-  ASSERT_GT(spruce.l2_kb, 0.0);
-  const int rows = auto_tile_rows(spruce, 512, 2);
-  EXPECT_GE(rows, 1);
-  // Half of 256 KB over 6 fields × 8 B × (512+4) cells ≈ 5 rows.
-  EXPECT_LT(rows, 64);
-  // Narrower chunks fit more rows per block.
-  EXPECT_GT(auto_tile_rows(spruce, 64, 2), rows);
-  // No modelled L2: the documented 64-row fallback.
-  MachineSpec no_l2 = spruce;
-  no_l2.l2_kb = 0.0;
-  EXPECT_EQ(auto_tile_rows(no_l2, 512, 2), 64);
-}
-
 // ---- iteration cap ------------------------------------------------------
 
 TEST(JacobiCap, MaxItersStopsExactly) {
@@ -379,124 +409,41 @@ TEST(JacobiCap, MaxItersStopsExactly) {
   EXPECT_EQ(st.outer_iters, 21);
 }
 
-// ---- sweep tile axis ----------------------------------------------------
-
-TEST(SweepTileAxis, EnumeratesTileHeightsWithLabels) {
-  SweepSpec spec;
-  spec.solvers = {"cg"};
-  spec.tile_rows = {-1, 0, 8};
-  const std::vector<SweepCase> cases = enumerate_cases(spec, 16);
-  ASSERT_EQ(cases.size(), 3u);
-  ASSERT_EQ(spec.num_cases(), 3u);
-  EXPECT_EQ(cases[0].label(), "cg/none/d1/n16/t0");  // auto: no suffix
-  EXPECT_EQ(cases[1].label(), "cg/none/d1/n16/t0/b0");
-  EXPECT_EQ(cases[2].label(), "cg/none/d1/n16/t0/b8");
-  spec.tile_rows = {-2};
-  EXPECT_THROW(spec.validate(), TeaError);
-}
-
-TEST(SweepTileAxis, TiledCellsMatchAndRoundTrip) {
-  InputDeck base = decks::hot_block(16, 1);
-  base.solver.eps = 1e-8;
-  SweepSpec spec;
-  spec.solvers = {"cg", "mg-pcg"};
-  spec.tile_rows = {-1, 0, 4};
-  spec.ranks = 2;
-  const SweepReport rep = run_sweep(base, spec);
-  ASSERT_EQ(rep.cells.size(), 6u);
-
-  // cg: every tile height runs and solves bitwise alike.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_FALSE(rep.cells[i].skipped) << i;
-    EXPECT_TRUE(rep.cells[i].converged) << i;
-    EXPECT_EQ(rep.cells[i].iterations, rep.cells[0].iterations) << i;
-    EXPECT_EQ(rep.cells[i].final_norm, rep.cells[0].final_norm) << i;
-    EXPECT_EQ(rep.cells[i].message_bytes, rep.cells[0].message_bytes) << i;
-  }
-  EXPECT_EQ(rep.cells[2].config.tile_rows, 4);
-
-  // mg-pcg: auto and one-block run; an explicit height is skipped.
-  EXPECT_FALSE(rep.cells[3].skipped);
-  EXPECT_FALSE(rep.cells[4].skipped);
-  EXPECT_TRUE(rep.cells[5].skipped);
-  EXPECT_EQ(rep.cells[4].iterations, rep.cells[3].iterations);
-
-  // The tile column survives both serialisation round trips.
-  const SweepReport csv_back = SweepReport::from_csv_lines(rep.to_csv_lines());
-  const SweepReport json_back =
-      SweepReport::from_json_string(rep.to_json().dump(2));
-  for (std::size_t i = 0; i < rep.cells.size(); ++i) {
-    EXPECT_EQ(csv_back.cells[i].config.tile_rows,
-              rep.cells[i].config.tile_rows);
-    EXPECT_EQ(json_back.cells[i].config.tile_rows,
-              rep.cells[i].config.tile_rows);
-    EXPECT_EQ(csv_back.cells[i].config.label(), rep.cells[i].config.label());
-  }
-}
-
 // ---- deck knobs and diagnostics ------------------------------------------
 
-TEST(TileDeck, TileRowsKnobParsesAndRoundTrips) {
-  const InputDeck deck = InputDeck::parse_string(
-      "*tea\nx_cells=16\ny_cells=16\nend_step=1\n"
-      "tl_tile_rows=24\n"
-      "sweep_solvers=cg\nsweep_tile_rows=0,16,64\n"
-      "state 1 density=1.0 energy=1.0\n*endtea\n");
-  EXPECT_EQ(deck.solver.tile_rows, 24);
-  EXPECT_EQ(deck.sweep.tile_rows, (std::vector<int>{0, 16, 64}));
-  const InputDeck back = InputDeck::parse_string(deck.to_string());
-  EXPECT_EQ(back.solver.tile_rows, 24);
-  EXPECT_EQ(back.sweep.tile_rows, deck.sweep.tile_rows);
-}
-
-TEST(TileDeck, AutoTileRowsIsTheDefaultAndRoundTrips) {
-  const InputDeck deck = InputDeck::parse_string(
-      "*tea\nx_cells=16\ny_cells=16\nend_step=1\n"
-      "tl_tile_rows=auto\nstate 1 density=1.0 energy=1.0\n*endtea\n");
-  EXPECT_EQ(deck.solver.tile_rows, -1);
-  EXPECT_EQ(SolverConfig{}.tile_rows, -1);
-  const InputDeck back = InputDeck::parse_string(deck.to_string());
-  EXPECT_EQ(back.solver.tile_rows, -1);
-  const InputDeck one_block = InputDeck::parse_string(
-      "*tea\nx_cells=16\ny_cells=16\nend_step=1\n"
-      "tl_tile_rows=0\nstate 1 density=1.0 energy=1.0\n*endtea\n");
-  EXPECT_EQ(InputDeck::parse_string(one_block.to_string()).solver.tile_rows,
-            0);
-}
-
-TEST(TileDeck, MistypedKnobFailsWithSuggestion) {
+TEST(DeckKnobs, MistypedKnobFailsWithSuggestion) {
   try {
     InputDeck::parse_string(
         "*tea\nx_cells=8\ny_cells=8\nend_step=1\n"
-        "tl_tile_row=16\nstate 1 density=1 energy=1\n*endtea\n");
+        "tl_halo_dept=2\nstate 1 density=1 energy=1\n*endtea\n");
     FAIL() << "typo must not be silently ignored";
   } catch (const TeaError& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("unknown key 'tl_tile_row'"), std::string::npos)
+    EXPECT_NE(msg.find("unknown key 'tl_halo_dept'"), std::string::npos)
         << msg;
-    EXPECT_NE(msg.find("did you mean 'tl_tile_rows'"), std::string::npos)
+    EXPECT_NE(msg.find("did you mean 'tl_halo_depth'"), std::string::npos)
         << msg;
   }
   EXPECT_THROW(InputDeck::parse_string(
                    "*tea\nx_cells=8\ny_cells=8\nend_step=1\n"
-                   "sweep_tile_row=1\nstate 1 density=1 energy=1\n*endtea\n"),
+                   "sweep_thread=1\nstate 1 density=1 energy=1\n*endtea\n"),
                TeaError);
 }
 
-TEST(TileDeck, KnobOutsideTeaBlockIsRejected) {
+TEST(DeckKnobs, KnobOutsideTeaBlockIsRejected) {
   EXPECT_THROW(InputDeck::parse_string(
-                   "tl_tile_rows=16\n*tea\nx_cells=8\ny_cells=8\n"
+                   "tl_halo_depth=2\n*tea\nx_cells=8\ny_cells=8\n"
                    "end_step=1\nstate 1 density=1 energy=1\n*endtea\n"),
                TeaError);
   // A knob trailing the *endtea line must be rejected too, not dropped.
   EXPECT_THROW(InputDeck::parse_string(
                    "*tea\nx_cells=8\ny_cells=8\nend_step=1\n"
                    "state 1 density=1 energy=1\n*endtea\n"
-                   "tl_tile_rows=16\n"),
+                   "tl_halo_depth=2\n"),
                TeaError);
 }
 
-TEST(TileDeck, BooleanFlagsAcceptExplicitValues) {
+TEST(DeckKnobs, BooleanFlagsAcceptExplicitValues) {
   const InputDeck off = InputDeck::parse_string(
       "*tea\nx_cells=8\ny_cells=8\nend_step=1\n"
       "tl_cg_fuse_reductions=0\nstate 1 density=1 energy=1\n*endtea\n");
@@ -514,56 +461,29 @@ TEST(TileDeck, BooleanFlagsAcceptExplicitValues) {
 
 // ---- scaling model: blocked-cache variant --------------------------------
 
-TEST(TiledModel, BlockedBytesVariantSpeedsUpCacheFittingTiles) {
+TEST(TiledModel, BlockedVariantAppliesWhenOneRowFitsL2) {
+  // The engine's fused sweeps keep their intermediate field in L2 while
+  // one halo-extended row of the working set fits there: the model then
+  // prices the blocked bytes/cell variant.
   SolverConfig cfg;
   cfg.type = SolverType::kJacobi;
-  cfg.tile_rows = 0;  // one block per rank: streams like an untiled sweep
   SolveStats stats;
   stats.outer_iters = 200;
   SolverRunSummary run = SolverRunSummary::from(cfg, stats, 1024);
   const GlobalMesh2D mesh(1024, 1024);
-  const ScalingModel model(machines::spruce_hybrid(), mesh, 1);
-
-  const double untiled = model.run_seconds(run, 1);
-  run.tile_rows = 4;  // 4 rows × 1024 cells × 6 fields × 8 B ≈ 192 KB < L2
-  const double tiled_fit = model.run_seconds(run, 1);
-  run.tile_rows = 4096;  // taller than L2: streaming bytes again
-  const double tiled_spill = model.run_seconds(run, 1);
-
-  EXPECT_LT(tiled_fit, untiled);
-  EXPECT_EQ(tiled_spill, untiled);
-
-  // A machine with no modelled L2 never takes the blocked variant.
-  MachineSpec no_l2 = machines::spruce_hybrid();
-  no_l2.l2_kb = 0.0;
-  const ScalingModel flat(no_l2, mesh, 1);
-  run.tile_rows = 4;
-  EXPECT_EQ(flat.run_seconds(run, 1), flat.run_seconds([&] {
-    SolverRunSummary u = run;
-    u.tile_rows = 0;
-    return u;
-  }(), 1));
-}
-
-TEST(TiledModel, SummaryRecordsTileHeightAndResolvesAuto) {
-  SolverConfig cfg;
-  cfg.type = SolverType::kJacobi;
-  cfg.tile_rows = 128;
-  SolveStats stats;
-  stats.outer_iters = 100;
-  EXPECT_EQ(SolverRunSummary::from(cfg, stats, 256).tile_rows, 128);
-
-  // `auto` stays symbolic in the summary and resolves inside the model
-  // against the modelled chunk width, like the real engine does.
-  cfg.tile_rows = -1;
-  SolverRunSummary run = SolverRunSummary::from(cfg, stats, 1024);
-  EXPECT_EQ(run.tile_rows, -1);
-  const GlobalMesh2D mesh(1024, 1024);
-  const ScalingModel model(machines::spruce_hybrid(), mesh, 1);
-  SolverRunSummary untiled = run;
-  untiled.tile_rows = 0;
-  // spruce L2 fits the auto-derived block → the blocked variant applies.
-  EXPECT_LT(model.run_seconds(run, 1), model.run_seconds(untiled, 1));
+  const auto seconds_at_l2 = [&](double l2_kb, Precision precision) {
+    MachineSpec m = machines::spruce_hybrid();
+    m.l2_kb = l2_kb;
+    run.precision = precision;
+    return ScalingModel(m, mesh, 1).run_seconds(run, 1);
+  };
+  // One row: (1024 + 4) cells × 6 fields × 8 B ≈ 48 KiB.
+  const double streaming = seconds_at_l2(0.0, Precision::kDouble);
+  EXPECT_LT(seconds_at_l2(256.0, Precision::kDouble), streaming);
+  EXPECT_EQ(seconds_at_l2(32.0, Precision::kDouble), streaming);
+  // fp32 rows are half the bytes, so they fit where fp64 rows do not.
+  EXPECT_LT(seconds_at_l2(32.0, Precision::kSingle),
+            seconds_at_l2(0.0, Precision::kSingle));
 }
 
 }  // namespace

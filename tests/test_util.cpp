@@ -51,19 +51,28 @@ TEST(Args, ExplicitBooleanValues) {
   EXPECT_FALSE(args.get_bool("d", true));
 }
 
-TEST(Args, RetiredFlagsFailNamingTheReplacement) {
-  // design_space_sweep and heat3d reject --fused / --pipeline this way.
+TEST(Args, RetiredFlagsFailLoudly) {
+  // design_space_sweep, heat3d and bench_kernels reject their retired
+  // engine flags (--fused, --pipeline, --tiles, --tile, --tile-scan) so.
   const char* argv[] = {"prog", "--fused", "0,1", "--tiles", "8"};
   Args args(5, argv);
   try {
-    args.reject_retired("fused", "--tiles");
+    args.reject_retired({"pipeline", "fused", "tiles"});
     FAIL() << "--fused must be rejected";
   } catch (const TeaError& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("--fused was retired"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("use --tiles"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("derives its row-blocks"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("remove the flag"), std::string::npos) << msg;
   }
-  EXPECT_NO_THROW(args.reject_retired("pipeline", "--tiles"));
+  try {
+    args.reject_retired({"tiles"});
+    FAIL() << "--tiles must be rejected";
+  } catch (const TeaError& e) {
+    EXPECT_NE(std::string(e.what()).find("--tiles was retired"),
+              std::string::npos);
+  }
+  EXPECT_NO_THROW(args.reject_retired({"pipeline", "tile", "tile-scan"}));
 }
 
 TEST(Require, ThrowsWithContext) {
